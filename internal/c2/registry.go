@@ -56,7 +56,7 @@ type Protocol interface {
 // pointer, so lookups under concurrent study workers stay lock-free.
 type regState struct {
 	byName map[string]Protocol
-	order  []string
+	order  []Protocol // registration order
 }
 
 // reg is seeded by a var initializer (not an init func) so it is
@@ -86,14 +86,14 @@ func regSwap(mutate func(old *regState) (*regState, error)) error {
 func regAdd(old *regState, p Protocol) *regState {
 	next := &regState{
 		byName: make(map[string]Protocol, len(old.byName)+1),
-		order:  make([]string, 0, len(old.order)+1),
+		order:  make([]Protocol, 0, len(old.order)+1),
 	}
 	for k, v := range old.byName {
 		next.byName[k] = v
 	}
 	next.order = append(next.order, old.order...)
 	next.byName[p.Name()] = p
-	next.order = append(next.order, p.Name())
+	next.order = append(next.order, p)
 	return next
 }
 
@@ -120,12 +120,20 @@ func Lookup(family string) (Protocol, bool) {
 // Protocols returns every registered protocol in registration order
 // (the built-ins come first, in Table 6 order).
 func Protocols() []Protocol {
-	st := reg.Load()
-	out := make([]Protocol, 0, len(st.order))
-	for _, name := range st.order {
-		out = append(out, st.byName[name])
+	return append([]Protocol(nil), reg.Load().order...)
+}
+
+// Signature labels a session's first outbound payload with the first
+// registered protocol, in registration order, whose artifact it
+// matches. It reads the registry in place: the classifier calls it
+// for every dial of every sample.
+func Signature(firstOut []byte) (string, bool) {
+	for _, p := range reg.Load().order {
+		if label, ok := p.Signature(firstOut); ok {
+			return label, true
+		}
 	}
-	return out
+	return "", false
 }
 
 // MustCompile compiles a spec or panics; for init-time registration

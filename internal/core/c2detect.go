@@ -54,10 +54,8 @@ type C2Candidate struct {
 // per-family artifacts come from the spec registry; a generic
 // server-keepalive check backstops families without one.
 func c2Signature(firstOut, firstIn []byte) string {
-	for _, p := range c2.Protocols() {
-		if label, ok := p.Signature(firstOut); ok {
-			return label
-		}
+	if label, ok := c2.Signature(firstOut); ok {
+		return label
 	}
 	if bytes.Contains(firstIn, []byte("PING")) && !bytes.HasPrefix(firstOut, []byte("GET ")) {
 		return "server-keepalive"

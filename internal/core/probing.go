@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"time"
 
 	"malnet/internal/c2"
@@ -222,111 +222,35 @@ func ScheduleProbing(n *simnet.Network, cfg ProbeConfig) *ProbeStudy {
 	if !cfg.SourceIP.IsValid() {
 		cfg.SourceIP = netip.MustParseAddr("10.98.0.2")
 	}
-	prober := n.AddHost(cfg.SourceIP)
-	study := &ProbeStudy{Config: cfg, Started: n.Clock.Now()}
-
-	// Counters are cached up front; a nil cfg.Obs yields nil no-op
-	// counters, so the probe loop needs no conditionals.
-	var (
-		mAttempts  = cfg.Obs.Counter("probe.attempts")
-		mRetries   = cfg.Obs.Counter("probe.retries")
-		mBackoffNs = cfg.Obs.Counter("probe.backoff_virtual_ns")
-		mAccepted  = cfg.Obs.Counter("probe.tcp_accepted")
-		mEngaged   = cfg.Obs.Counter("probe.engaged")
-		mBanners   = cfg.Obs.Counter("probe.banners")
-	)
-
-	targets := map[simnet.Addr]*ProbeTarget{}
-	record := func(addr simnet.Addr, round int, o ProbeOutcome, banner string) {
-		t := targets[addr]
-		if t == nil {
-			t = &ProbeTarget{Addr: addr, Outcomes: make([]ProbeOutcome, cfg.Rounds)}
-			targets[addr] = t
-		}
-		// Keep the strongest verdict for the round (engagement
-		// beats silence).
-		if o > t.Outcomes[round] {
-			t.Outcomes[round] = o
-		}
-		if banner != "" && t.Banner == "" {
-			t.Banner = banner
-		}
+	pb := &prober{
+		net:     n,
+		cfg:     cfg,
+		study:   &ProbeStudy{Config: cfg, Started: n.Clock.Now()},
+		host:    n.AddHost(cfg.SourceIP),
+		targets: map[simnet.Addr]*ProbeTarget{},
+		// Counters are cached up front; a nil cfg.Obs yields nil
+		// no-op counters, so the probe loop needs no conditionals.
+		mAttempts:  cfg.Obs.Counter("probe.attempts"),
+		mRetries:   cfg.Obs.Counter("probe.retries"),
+		mBackoffNs: cfg.Obs.Counter("probe.backoff_virtual_ns"),
+		mAccepted:  cfg.Obs.Counter("probe.tcp_accepted"),
+		mEngaged:   cfg.Obs.Counter("probe.engaged"),
+		mBanners:   cfg.Obs.Counter("probe.banners"),
 	}
-
-	probeOne := func(addr simnet.Addr, round int) {
-		handshake := c2.ProbeHandshake(cfg.Family)
-		bo := c2.Backoff{
-			Base: cfg.RetryBase, Cap: cfg.RetryCap,
-			Seed: cfg.Seed, Key: fmt.Sprintf("%s#%d", addr, round),
-		}
-		engaged := false
-		var try func(attempt int)
-		try = func(attempt int) {
-			study.ProbesSent++
-			mAttempts.Inc()
-			if attempt > 0 {
-				study.Retries++
-				mRetries.Inc()
-			}
-			connected := false
-			prober.DialTCP(addr, simnet.ConnFuncs{
-				Connect: func(cn *simnet.Conn) {
-					connected = true
-					mAccepted.Inc()
-					for _, msg := range handshake {
-						cn.Write(msg)
-					}
-					record(addr, round, ProbeAcceptedSilent, "")
-					n.Clock.After(cfg.EngageTimeout, func() {
-						if cn.Established() {
-							cn.Close()
-						}
-					})
-				},
-				Data: func(cn *simnet.Conn, b []byte) {
-					if c2.WellKnownBanner(b) {
-						mBanners.Inc()
-						record(addr, round, ProbeBanner, string(b[:min(len(b), 40)]))
-						cn.Close()
-						return
-					}
-					if !engaged && c2.ProbeEngaged(cfg.Family, b) {
-						engaged = true
-						mEngaged.Inc()
-						record(addr, round, ProbeEngaged, "")
-						cn.Close()
-					}
-				},
-				Close: func(cn *simnet.Conn, err error) {
-					if err == nil || engaged {
-						return
-					}
-					if connected && c2.AliveOnReset(err) {
-						// RST during the banner wait: something spoke
-						// TCP and hung up on us — alive but rude, not
-						// dead air.
-						record(addr, round, ProbeAcceptedSilent, "")
-					}
-					// Under a flaky network a timeout or reset is worth
-					// re-dialing, within the per-probe budget.
-					if attempt < cfg.Retries && c2.TransientProbeError(err) {
-						delay := bo.Delay(attempt)
-						mBackoffNs.Add(int64(delay))
-						n.Clock.After(delay, func() { try(attempt + 1) })
-					}
-				},
-			})
-		}
-		try(0)
-	}
+	study := pb.study
 
 	for round := 0; round < cfg.Rounds; round++ {
 		round := round
 		n.Clock.Schedule(study.Started.Add(time.Duration(round)*cfg.Interval), func() {
+			// The family's protocol is resolved once per sweep, not
+			// per probe or per received segment.
+			pr := &probeRound{prober: pb, index: round, handshake: c2.ProbeHandshake(cfg.Family)}
+			pr.proto, _ = c2.Lookup(cfg.Family)
 			for _, subnet := range cfg.Subnets {
 				for _, ip := range subnet.Hosts() {
 					for _, port := range cfg.Ports {
-						probeOne(simnet.Addr{IP: ip, Port: port}, round)
+						p := &probe{probeRound: pr, addr: simnet.Addr{IP: ip, Port: port}}
+						p.try(0)
 					}
 				}
 			}
@@ -334,7 +258,7 @@ func ScheduleProbing(n *simnet.Network, cfg ProbeConfig) *ProbeStudy {
 	}
 	// Finalize after the last round plus the engagement window.
 	n.Clock.Schedule(study.Started.Add(time.Duration(cfg.Rounds-1)*cfg.Interval+cfg.EngageTimeout+time.Second), func() {
-		for _, t := range targets {
+		for _, t := range pb.targets {
 			if t.Engagements() > 0 && !t.EverBanner() {
 				study.LiveC2s = append(study.LiveC2s, t)
 			}
@@ -349,4 +273,137 @@ func ScheduleProbing(n *simnet.Network, cfg ProbeConfig) *ProbeStudy {
 		study.Done = true
 	})
 	return study
+}
+
+// prober is one probing study's shared state: the prober host, the
+// cached counters and every endpoint's history.
+type prober struct {
+	net     *simnet.Network
+	cfg     ProbeConfig
+	study   *ProbeStudy
+	host    *simnet.Host
+	targets map[simnet.Addr]*ProbeTarget
+
+	mAttempts, mRetries, mBackoffNs, mAccepted, mEngaged, mBanners *obs.Counter
+}
+
+// probeRound is one sweep over every subnet host and port, with the
+// family's handshake and protocol resolved when the round fires.
+type probeRound struct {
+	*prober
+	index     int
+	handshake [][]byte
+	proto     c2.Protocol // nil: the family is not registered
+}
+
+// engages classifies peer data as C2-protocol engagement, as
+// c2.ProbeEngaged does: without a registered probe rule, any data
+// counts.
+func (pr *probeRound) engages(b []byte) bool {
+	if pr.proto == nil {
+		return len(b) > 0
+	}
+	return pr.proto.ProbeEngaged(b)
+}
+
+// probe is one endpoint's probe in one round. Its verdict spans
+// every retry attempt.
+type probe struct {
+	*probeRound
+	addr    simnet.Addr
+	engaged bool
+}
+
+// record folds one verdict into the endpoint's history.
+func (p *probe) record(o ProbeOutcome, banner string) {
+	t := p.targets[p.addr]
+	if t == nil {
+		t = &ProbeTarget{Addr: p.addr, Outcomes: make([]ProbeOutcome, p.cfg.Rounds)}
+		p.targets[p.addr] = t
+	}
+	// Keep the strongest verdict for the round (engagement beats
+	// silence).
+	if o > t.Outcomes[p.index] {
+		t.Outcomes[p.index] = o
+	}
+	if banner != "" && t.Banner == "" {
+		t.Banner = banner
+	}
+}
+
+// try dials attempt number attempt (0 is the first dial).
+func (p *probe) try(attempt int) {
+	p.study.ProbesSent++
+	p.mAttempts.Inc()
+	if attempt > 0 {
+		p.study.Retries++
+		p.mRetries.Inc()
+	}
+	p.host.DialTCP(p.addr, &probeAttempt{probe: p, attempt: attempt})
+}
+
+// probeAttempt is one dial of a probe; it is the connection's
+// handler.
+type probeAttempt struct {
+	*probe
+	attempt   int
+	connected bool
+}
+
+// OnConnect sends the weaponized handshake and arms the engagement
+// timeout.
+func (a *probeAttempt) OnConnect(cn *simnet.Conn) {
+	a.connected = true
+	a.mAccepted.Inc()
+	for _, msg := range a.handshake {
+		cn.Write(msg)
+	}
+	a.record(ProbeAcceptedSilent, "")
+	a.net.Clock.After(a.cfg.EngageTimeout, func() {
+		if cn.Established() {
+			cn.Close()
+		}
+	})
+}
+
+// OnData classifies the peer's answer: a well-known banner excludes
+// the host, protocol engagement marks it live.
+func (a *probeAttempt) OnData(cn *simnet.Conn, b []byte) {
+	if c2.WellKnownBanner(b) {
+		a.mBanners.Inc()
+		a.record(ProbeBanner, string(b[:min(len(b), 40)]))
+		cn.Close()
+		return
+	}
+	if !a.engaged && a.engages(b) {
+		a.engaged = true
+		a.mEngaged.Inc()
+		a.record(ProbeEngaged, "")
+		cn.Close()
+	}
+}
+
+// OnClose scores a reset as a live host and schedules a retry after a
+// transient failure, within the per-probe budget.
+func (a *probeAttempt) OnClose(cn *simnet.Conn, err error) {
+	if err == nil || a.engaged {
+		return
+	}
+	if a.connected && c2.AliveOnReset(err) {
+		// RST during the banner wait: something spoke TCP and hung
+		// up on us — alive but rude, not dead air.
+		a.record(ProbeAcceptedSilent, "")
+	}
+	// Under a flaky network a timeout or reset is worth re-dialing,
+	// within the per-probe budget.
+	if a.attempt < a.cfg.Retries && c2.TransientProbeError(err) {
+		bo := c2.Backoff{
+			Base: a.cfg.RetryBase, Cap: a.cfg.RetryCap,
+			Seed: a.cfg.Seed, Key: a.addr.String() + "#" + strconv.Itoa(a.index),
+		}
+		delay := bo.Delay(a.attempt)
+		a.mBackoffNs.Add(int64(delay))
+		p, next := a.probe, a.attempt+1
+		a.net.Clock.After(delay, func() { p.try(next) })
+	}
 }

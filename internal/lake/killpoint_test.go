@@ -99,9 +99,9 @@ func TestLakeKillPoints(t *testing.T) {
 // garbage.
 func TestLakeTornJournalTail(t *testing.T) {
 	for _, torn := range [][]byte{
-		{0x00},                              // torn length prefix
-		{0x00, 0x00, 0x00, 0x50, 'p', 'a'},  // length frame, payload cut short
-		{0xff, 0xff, 0xff, 0xff, 0x00},      // implausible length
+		{0x00},                               // torn length prefix
+		{0x00, 0x00, 0x00, 0x50, 'p', 'a'},   // length frame, payload cut short
+		{0xff, 0xff, 0xff, 0xff, 0x00},       // implausible length
 		[]byte("{\"id\":999}garbagegarbage"), // valid-ish JSON, no frame around it
 	} {
 		dir := t.TempDir()

@@ -18,9 +18,9 @@
 //
 // Commit protocol — three durable steps, in order:
 //
-//	1. write the snapshot object (temp file, fsync, rename, dir fsync)
-//	2. append the commit frame to the journal (fsync'd, self-sealed)
-//	3. move the branch ref (temp file, fsync, rename, dir fsync)
+//  1. write the snapshot object (temp file, fsync, rename, dir fsync)
+//  2. append the commit frame to the journal (fsync'd, self-sealed)
+//  3. move the branch ref (temp file, fsync, rename, dir fsync)
 //
 // Every step is atomic and durable before the next begins, so a crash
 // at any point leaves the lake mountable: before step 3 the branch

@@ -88,9 +88,9 @@ type Summary struct {
 	Endpoints      []EndpointSummary `json:"endpoints,omitempty"`
 	// Server holds the daemon's own RED view of the run window,
 	// scraped from its /metrics before and after (needs DebugAddr).
-	Server         []ServerEndpoint  `json:"server,omitempty"`
-	Schedule       []Query           `json:"schedule,omitempty"`
-	Results        []BenchRow        `json:"results,omitempty"`
+	Server   []ServerEndpoint `json:"server,omitempty"`
+	Schedule []Query          `json:"schedule,omitempty"`
+	Results  []BenchRow       `json:"results,omitempty"`
 }
 
 // ScheduleOnly renders the first n scheduled queries without touching

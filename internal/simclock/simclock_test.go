@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -314,5 +316,281 @@ func TestRunBudgetCountsSelfRescheduling(t *testing.T) {
 	n, exhausted := c.RunBudget(t0.Add(24*time.Hour), 1000)
 	if !exhausted || n != 1000 {
 		t.Fatalf("RunBudget = (%d, %v), want (1000, true)", n, exhausted)
+	}
+}
+
+// TestStaleIDCannotCancelSlotReuser: once an event fires, its slot is
+// recycled for the next Schedule; the old ID must not cancel the new
+// occupant.
+func TestStaleIDCannotCancelSlotReuser(t *testing.T) {
+	c := New(t0)
+	stale := c.After(time.Minute, func() {})
+	c.Step()
+	fired := false
+	fresh := c.After(time.Minute, func() { fired = true })
+	if uint32(fresh) != uint32(stale) {
+		t.Fatalf("fresh event did not reuse the freed slot (ids %#x, %#x)", stale, fresh)
+	}
+	if c.Cancel(stale) {
+		t.Fatal("stale ID cancelled the slot's new occupant")
+	}
+	c.Drain(0)
+	if !fired {
+		t.Fatal("new occupant did not fire")
+	}
+
+	// The same holds for a slot freed by Cancel.
+	old := c.After(time.Minute, func() {})
+	c.Cancel(old)
+	fired = false
+	c.After(time.Minute, func() { fired = true })
+	if c.Cancel(old) {
+		t.Fatal("cancelled ID cancelled the slot's new occupant")
+	}
+	c.Drain(0)
+	if !fired {
+		t.Fatal("new occupant did not fire")
+	}
+}
+
+// TestCancelFiringEventReturnsFalse: by the time a callback runs, its
+// own event is no longer pending.
+func TestCancelFiringEventReturnsFalse(t *testing.T) {
+	c := New(t0)
+	var id EventID
+	cancelled := true
+	id = c.After(time.Minute, func() { cancelled = c.Cancel(id) })
+	c.Drain(0)
+	if cancelled {
+		t.Fatal("Cancel of the event now firing returned true")
+	}
+}
+
+// TestResetInvalidatesIDs: IDs issued before a Reset cancel nothing
+// afterwards, even once the fresh slab hands out the same slots.
+func TestResetInvalidatesIDs(t *testing.T) {
+	c := New(t0)
+	var before []EventID
+	for i := 0; i < 4; i++ {
+		before = append(before, c.After(time.Duration(i+1)*time.Minute, func() {}))
+	}
+	c.Reset(t0)
+	for _, id := range before {
+		if c.Cancel(id) {
+			t.Fatalf("pre-Reset ID %#x cancelled something on the empty clock", id)
+		}
+	}
+	fired := 0
+	for i := 0; i < 4; i++ {
+		c.After(time.Duration(i+1)*time.Minute, func() { fired++ })
+	}
+	for _, id := range before {
+		if c.Cancel(id) {
+			t.Fatalf("pre-Reset ID %#x cancelled a post-Reset event", id)
+		}
+	}
+	if n := c.Drain(0); n != 4 || fired != 4 {
+		t.Fatalf("Drain fired %d (callbacks %d), want 4", n, fired)
+	}
+}
+
+// refClock is the differential oracle: a plain list scanned for the
+// least (at, seq) on every pop.
+type refClock struct {
+	now     time.Time
+	seq     uint64
+	pending []refEvent
+	fired   []int
+	labels  int
+}
+
+type refEvent struct {
+	at    time.Time
+	seq   uint64
+	label int
+}
+
+func (r *refClock) schedule(at time.Time) int {
+	if at.Before(r.now) {
+		at = r.now
+	}
+	r.seq++
+	label := r.labels
+	r.labels++
+	r.pending = append(r.pending, refEvent{at: at, seq: r.seq, label: label})
+	return label
+}
+
+func (r *refClock) cancel(label int) bool {
+	for i, e := range r.pending {
+		if e.label == label {
+			r.pending = slices.Delete(r.pending, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+// next returns the index of the least pending (at, seq), or -1.
+func (r *refClock) next() int {
+	best := -1
+	for i, e := range r.pending {
+		if best < 0 || e.at.Before(r.pending[best].at) ||
+			(e.at.Equal(r.pending[best].at) && e.seq < r.pending[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refClock) step() bool {
+	i := r.next()
+	if i < 0 {
+		return false
+	}
+	e := r.pending[i]
+	r.pending = slices.Delete(r.pending, i, i+1)
+	r.now = e.at
+	r.fired = append(r.fired, e.label)
+	if child, ok := childDelay(e.label); ok {
+		r.schedule(r.now.Add(child))
+	}
+	return true
+}
+
+func (r *refClock) runBudget(deadline time.Time, max int) (int, bool) {
+	fired := 0
+	for i := r.next(); i >= 0 && !r.pending[i].at.After(deadline); i = r.next() {
+		if max > 0 && fired >= max {
+			return fired, true
+		}
+		r.step()
+		fired++
+	}
+	if r.now.Before(deadline) {
+		r.now = deadline
+	}
+	return fired, false
+}
+
+// childDelay makes some callbacks schedule a follow-up, so the clock
+// grows its slab from inside Step.
+func childDelay(label int) (time.Duration, bool) {
+	return time.Duration(label%3) * time.Hour, label%4 == 0
+}
+
+// TestClockMatchesReference drives the clock and the sorted-list
+// oracle through the same random interleaving of Schedule, Cancel,
+// Step, RunUntil and RunBudget, starting from the zero Clock (year 1)
+// and jumping to 2021 and year 3000. Year 1 and 3000 lie outside
+// UnixNano's 1678–2262 range, where an ordering by UnixNano puts 3000
+// before 2021. Timestamps come from a small set so ties exercise the
+// sequence order.
+func TestClockMatchesReference(t *testing.T) {
+	bases := []time.Time{{}, t0, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)}
+	instant := func(rng *rand.Rand) time.Time {
+		return bases[rng.Intn(len(bases))].Add(time.Duration(rng.Intn(6)) * time.Hour)
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var c Clock
+		ref := &refClock{}
+		var fired []int
+		var ids []EventID // by label
+		var schedule func(at time.Time)
+		schedule = func(at time.Time) {
+			label := len(ids)
+			ids = append(ids, c.Schedule(at, func() {
+				fired = append(fired, label)
+				if d, ok := childDelay(label); ok {
+					schedule(c.Now().Add(d))
+				}
+			}))
+		}
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				at := instant(rng)
+				schedule(at)
+				ref.schedule(at)
+			case k < 6:
+				if len(ids) == 0 {
+					continue
+				}
+				label := rng.Intn(len(ids))
+				if got, want := c.Cancel(ids[label]), ref.cancel(label); got != want {
+					t.Fatalf("seed %d op %d: Cancel(label %d) = %v, want %v", seed, op, label, got, want)
+				}
+			case k < 8:
+				if got, want := c.Step(), ref.step(); got != want {
+					t.Fatalf("seed %d op %d: Step = %v, want %v", seed, op, got, want)
+				}
+			case k < 9:
+				deadline := instant(rng)
+				got := c.RunUntil(deadline)
+				want, _ := ref.runBudget(deadline, 0)
+				if got != want {
+					t.Fatalf("seed %d op %d: RunUntil fired %d, want %d", seed, op, got, want)
+				}
+			default:
+				deadline, max := instant(rng), rng.Intn(4)
+				got, gotEx := c.RunBudget(deadline, max)
+				want, wantEx := ref.runBudget(deadline, max)
+				if got != want || gotEx != wantEx {
+					t.Fatalf("seed %d op %d: RunBudget = (%d, %v), want (%d, %v)", seed, op, got, gotEx, want, wantEx)
+				}
+			}
+			if len(ids) != ref.labels {
+				t.Fatalf("seed %d op %d: %d events scheduled, reference %d", seed, op, len(ids), ref.labels)
+			}
+			if !slices.Equal(fired, ref.fired) {
+				t.Fatalf("seed %d op %d: fired %v, want %v", seed, op, fired, ref.fired)
+			}
+			if !c.Now().Equal(ref.now) {
+				t.Fatalf("seed %d op %d: Now = %v, want %v", seed, op, c.Now(), ref.now)
+			}
+			if c.Pending() != len(ref.pending) {
+				t.Fatalf("seed %d op %d: Pending = %d, want %d", seed, op, c.Pending(), len(ref.pending))
+			}
+			at, ok := c.NextAt()
+			if i := ref.next(); ok != (i >= 0) || ok && !at.Equal(ref.pending[i].at) {
+				t.Fatalf("seed %d op %d: NextAt = %v, %v; reference disagrees", seed, op, at, ok)
+			}
+		}
+	}
+}
+
+// TestScheduleStepAllocFree: a warm clock schedules and fires without
+// allocating.
+func TestScheduleStepAllocFree(t *testing.T) {
+	c := New(t0)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		c.After(time.Duration(i)*time.Second, fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		id := c.After(time.Minute, fn)
+		c.After(30*time.Second, fn)
+		c.Cancel(id)
+		c.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Schedule/Cancel/Step allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkClockScheduleStep measures one Schedule plus one Step
+// against a standing backlog of 1024 events.
+func BenchmarkClockScheduleStep(b *testing.B) {
+	c := New(t0)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		c.After(time.Duration(i)*time.Second, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.After(time.Duration(i%1024)*time.Second, fn)
+		c.Step()
 	}
 }

@@ -36,13 +36,31 @@ type Conn struct {
 	// (by value) with the accepting side. fSrc/fDst/fSeq are the
 	// dialer-relative fault-plan coordinates; fDir is "out" on the
 	// dialing side and "in" on the accepting side; fSeg counts data
-	// segments this side has attempted to send.
+	// segments this side has attempted to send. fSrc and fDst are
+	// rendered by faultCoords on first use, so a clean network never
+	// formats them.
 	faults faultinject.ConnFaults
 	fSrc   string
 	fDst   string
 	fSeq   uint64
 	fDir   string
 	fSeg   int
+}
+
+// faultCoords returns the dialer-relative endpoint coordinates the
+// fault plan hashes: the dialing host's IP and the dialed ip:port.
+// They are rendered once, on first use, from this side's own
+// addresses, so both halves of a connection agree on them and a conn
+// dialed before InstallFaults still draws the plan's decisions.
+func (c *Conn) faultCoords() (src, dst string) {
+	if c.fSrc == "" {
+		dialer, dialed := c.local, c.remote
+		if c.fDir == "in" {
+			dialer, dialed = c.remote, c.local
+		}
+		c.fSrc, c.fDst = dialer.IP.String(), dialed.String()
+	}
+	return c.fSrc, c.fDst
 }
 
 // LocalAddr returns this side's address.
@@ -78,12 +96,14 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		handler: handler,
 		state:   stateConnecting,
 		id:      n.nextID,
-		fSrc:    h.IP.String(),
-		fDst:    to.String(),
 		fSeq:    n.nextConnSeq(h.IP, to),
 		fDir:    "out",
 	}
-	c.faults = n.faults.ConnPlan(c.fSrc, c.fDst, c.fSeq)
+	var fSrc, fDst string
+	if n.faults != nil {
+		fSrc, fDst = c.faultCoords()
+	}
+	c.faults = n.faults.ConnPlan(fSrc, fDst, c.fSeq)
 	n.m.connsDialed.Inc()
 	now := n.Clock.Now()
 	syn := PacketRecord{
@@ -102,11 +122,11 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 	dst := n.hosts[to.IP]
 	if c.faults.ExtraLatency > 0 {
 		n.m.latencySpikes.Inc()
-		n.faultEvent("fault.latency_spike", c.fSrc, c.fDst)
+		n.faultEvent("fault.latency_spike", fSrc, fDst)
 	}
 	if c.faults.DripChunk > 0 {
 		n.m.slowDrips.Inc()
-		n.faultEvent("fault.slow_drip", c.fSrc, c.fDst)
+		n.faultEvent("fault.slow_drip", fSrc, fDst)
 	}
 	rtt := 2 * (n.Latency(h.IP, to.IP) + c.faults.ExtraLatency)
 	if dst == nil || !dst.Online {
@@ -117,7 +137,7 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		// Injected blackout: the host is up but unreachable for the
 		// moment — indistinguishable from offline to the dialer.
 		n.m.blackouts.Inc()
-		n.faultEvent("fault.blackout", c.fSrc, c.fDst)
+		n.faultEvent("fault.blackout", fSrc, fDst)
 		n.Clock.After(n.cfg.SYNTimeout, func() { c.fail(ErrTimeout) })
 		return c
 	}
@@ -125,7 +145,7 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		// Injected handshake loss: the SYN left the host tap but
 		// the network ate it.
 		n.m.synsDropped.Inc()
-		n.faultEvent("fault.syn_drop", c.fSrc, c.fDst)
+		n.faultEvent("fault.syn_drop", fSrc, fDst)
 		n.Clock.After(n.cfg.SYNTimeout, func() { c.fail(ErrTimeout) })
 		return c
 	}
@@ -168,7 +188,7 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 			// (same coordinates, opposite direction) so both halves
 			// of a connection agree on its fate.
 			faults: c.faults,
-			fSrc:   c.fSrc, fDst: c.fDst, fSeq: c.fSeq, fDir: "in",
+			fSeq:   c.fSeq, fDir: "in",
 		}
 		n.m.connsEstablished.Inc()
 		c.peer = server
@@ -179,6 +199,17 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		c.handler.OnConnect(c)
 	})
 	return c
+}
+
+// dropSegment asks the installed fault plan, if any, whether this
+// side's seg-th data segment is lost in flight.
+func (c *Conn) dropSegment(seg int) bool {
+	p := c.net.faults
+	if p == nil {
+		return false
+	}
+	src, dst := c.faultCoords()
+	return p.DropSegment(src, dst, c.fSeq, c.fDir, seg)
 }
 
 // fail closes a connecting or established conn with err.
@@ -204,7 +235,8 @@ func (c *Conn) Write(payload []byte) error {
 	c.fSeg++
 	if c.faults.ResetAfterSegment >= 0 && seg >= c.faults.ResetAfterSegment {
 		c.net.m.resetsInjected.Inc()
-		c.net.faultEvent("fault.reset", c.fSrc, c.fDst)
+		src, dst := c.faultCoords()
+		c.net.faultEvent("fault.reset", src, dst)
 		c.injectReset()
 		return ErrReset
 	}
@@ -222,7 +254,7 @@ func (c *Conn) Write(payload []byte) error {
 		n.recordLocal(rec)
 		return nil
 	}
-	if n.faults.DropSegment(c.fSrc, c.fDst, c.fSeq, c.fDir, seg) {
+	if c.dropSegment(seg) {
 		// Injected segment loss: the sender's tap sees the packet
 		// leave, the peer never does.
 		n.m.segmentsDropped.Inc()

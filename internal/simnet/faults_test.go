@@ -243,3 +243,63 @@ func errString(err error) string {
 	}
 	return err.Error()
 }
+
+// TestConnDialedBeforeInstallFaultsKeepsSegmentLoss: a plan installed
+// after the handshake still decides each segment's fate from the
+// connection's real coordinates, in both directions. A conn that took
+// its coordinates only when a plan was present at dial time would
+// hash empty strings here and drop different segments.
+func TestConnDialedBeforeInstallFaultsKeepsSegmentLoss(t *testing.T) {
+	n := newNet()
+	srv := n.AddHost(netip.MustParseAddr("10.0.0.1"))
+	cli := n.AddHost(netip.MustParseAddr("10.0.0.2"))
+	const segments = 32
+	var toSrv, toCli []byte
+	var srvConn *Conn
+	srv.ListenTCP(23, func(local, remote Addr) ConnHandler {
+		return ConnFuncs{
+			Connect: func(c *Conn) { srvConn = c },
+			Data:    func(c *Conn, b []byte) { toSrv = append(toSrv, b...) },
+		}
+	})
+	dialed := Addr{IP: srv.IP, Port: 23}
+	cliConn := cli.DialTCP(dialed, ConnFuncs{
+		Data: func(c *Conn, b []byte) { toCli = append(toCli, b...) },
+	})
+	n.Clock.RunFor(time.Second)
+	if !cliConn.Established() || srvConn == nil {
+		t.Fatal("handshake did not complete")
+	}
+
+	plan := faultinject.New(faultinject.Config{Seed: 7, SegmentLossRate: 0.5})
+	n.InstallFaults(plan)
+	for seg := 0; seg < segments; seg++ {
+		cliConn.Write([]byte{byte(seg)})
+		srvConn.Write([]byte{byte(seg)})
+	}
+	n.Clock.RunFor(time.Second)
+
+	// Expected survivors, from the plan queried with the connection's
+	// coordinates: the dialing host's IP, the dialed endpoint, the
+	// first connection between them.
+	survivors := func(src, dst, dir string) []byte {
+		var out []byte
+		for seg := 0; seg < segments; seg++ {
+			if !plan.DropSegment(src, dst, 0, dir, seg) {
+				out = append(out, byte(seg))
+			}
+		}
+		return out
+	}
+	wantSrv := survivors(cli.IP.String(), dialed.String(), "out")
+	wantCli := survivors(cli.IP.String(), dialed.String(), "in")
+	if bytes.Equal(wantSrv, survivors("", "", "out")) && bytes.Equal(wantCli, survivors("", "", "in")) {
+		t.Fatal("test seed cannot tell real coordinates from empty ones; pick another")
+	}
+	if !bytes.Equal(toSrv, wantSrv) {
+		t.Fatalf("server received segments %v, want %v", toSrv, wantSrv)
+	}
+	if !bytes.Equal(toCli, wantCli) {
+		t.Fatalf("client received segments %v, want %v", toCli, wantCli)
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"time"
 
 	"malnet/internal/detrand"
@@ -117,8 +118,21 @@ func AddrFrom(ip string, port uint16) Addr {
 	return Addr{IP: netip.MustParseAddr(ip), Port: port}
 }
 
-// String renders ip:port.
-func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
+// String renders ip:port, byte for byte as fmt's "%s:%d" would,
+// without fmt's allocations: dial and fault paths render addresses
+// per connection.
+func (a Addr) String() string {
+	var buf [64]byte
+	b := buf[:0]
+	if a.IP.IsValid() {
+		b = a.IP.AppendTo(b)
+	} else {
+		b = append(b, "invalid IP"...) // netip.Addr{}.String()
+	}
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(a.Port), 10)
+	return string(b)
+}
 
 // IsValid reports whether the address has a usable IP.
 func (a Addr) IsValid() bool { return a.IP.IsValid() }
@@ -463,8 +477,12 @@ func (n *Network) nextConnSeq(src netip.Addr, dst Addr) uint64 {
 	return seq
 }
 
-// darkAt reports whether ip is inside an injected blackout at t.
+// darkAt reports whether ip is inside an injected blackout at t. A
+// clean network answers without rendering the address.
 func (n *Network) darkAt(ip netip.Addr, t time.Time) bool {
+	if n.faults == nil {
+		return false
+	}
 	return n.faults.Blackout(ip.String(), t)
 }
 

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -486,5 +487,25 @@ func TestQuickConnDataOrderPreserved(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddrStringMatchesFmt: the allocation-lean renderer is byte for
+// byte the historical fmt "%s:%d", whose output feeds fault-plan
+// hashes, trace attributes and dataset keys.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	for _, a := range []Addr{
+		{},
+		{Port: 80},
+		AddrFrom("10.0.0.1", 0),
+		AddrFrom("255.255.255.255", 65535),
+		AddrFrom("1.2.3.4", 23),
+		AddrFrom("2001:db8::1", 443),
+		AddrFrom("::ffff:192.0.2.1", 8080),
+		AddrFrom("fe80::1%eth0", 65535),
+	} {
+		if got, want := a.String(), fmt.Sprintf("%s:%d", a.IP, a.Port); got != want {
+			t.Errorf("Addr%+v.String() = %q, want %q", a, got, want)
+		}
 	}
 }

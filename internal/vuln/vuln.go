@@ -84,8 +84,40 @@ func d(y int, m time.Month, day int) time.Time {
 	return time.Date(y, m, day, 0, 0, 0, 0, time.UTC)
 }
 
-// Catalog returns the Table 4 rows in paper order.
+// catalog holds the Table 4 rows, built once; byKey indexes them.
+// Classify and Lookup read both directly, so the exploit path never
+// rebuilds the table.
+var (
+	catalog = buildCatalog()
+	byKey   = index(catalog)
+)
+
+// Catalog returns the Table 4 rows in paper order. The slice is the
+// caller's to keep or reorder, but the rows are shared: callers must
+// treat every *Vulnerability as read-only.
 func Catalog() []*Vulnerability {
+	return append([]*Vulnerability(nil), catalog...)
+}
+
+// ByKey indexes the catalog by Key in a map the caller owns; like
+// Catalog, its rows are shared and read-only.
+func ByKey() map[string]*Vulnerability { return index(catalog) }
+
+// Lookup returns the catalog row with the given Key.
+func Lookup(key string) (*Vulnerability, bool) {
+	v, ok := byKey[key]
+	return v, ok
+}
+
+func index(rows []*Vulnerability) map[string]*Vulnerability {
+	m := make(map[string]*Vulnerability, len(rows))
+	for _, v := range rows {
+		m[v.Key] = v
+	}
+	return m
+}
+
+func buildCatalog() []*Vulnerability {
 	return []*Vulnerability{
 		{
 			ID: 1, Key: "gpon-rce", CVEs: []string{"CVE-2018-10561", "CVE-2018-10562"},
@@ -172,15 +204,6 @@ func Catalog() []*Vulnerability {
 			PaperSamples: 2,
 		},
 	}
-}
-
-// ByKey indexes the catalog.
-func ByKey() map[string]*Vulnerability {
-	m := make(map[string]*Vulnerability)
-	for _, v := range Catalog() {
-		m[v.Key] = v
-	}
-	return m
 }
 
 // Payload renders the wire bytes the exploit sends to a victim,
@@ -274,7 +297,7 @@ func httpPOSTWith(path string, hdrs map[string]string, body string) []byte {
 // request).
 func Classify(payload []byte) []*Vulnerability {
 	var out []*Vulnerability
-	for _, v := range Catalog() {
+	for _, v := range catalog {
 		if bytes.Contains(payload, []byte(v.Signature)) {
 			out = append(out, v)
 		}

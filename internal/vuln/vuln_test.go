@@ -216,3 +216,51 @@ func TestLabelPrefersCVE(t *testing.T) {
 		t.Fatalf("label = %q", got)
 	}
 }
+
+// TestLookupMatchesByKey: Lookup reads the same rows ByKey indexes.
+func TestLookupMatchesByKey(t *testing.T) {
+	for key, want := range ByKey() {
+		if got, ok := Lookup(key); !ok || got != want {
+			t.Fatalf("Lookup(%q) = %v, %v; want the ByKey row", key, got, ok)
+		}
+	}
+	if v, ok := Lookup("no-such-vuln"); ok || v != nil {
+		t.Fatalf("Lookup of an unknown key = %v, %v", v, ok)
+	}
+}
+
+// TestCallerContainersDoNotAlias: the slice and map handed out are
+// the caller's; reordering, overwriting or deleting their entries
+// leaves Classify and Lookup untouched.
+func TestCallerContainersDoNotAlias(t *testing.T) {
+	gpon, _ := Lookup("gpon-rce")
+	payload := gpon.Payload("1.2.3.4:80", "x.sh")
+	want := Classify(payload)
+
+	cat := Catalog()
+	for i := range cat {
+		cat[i] = &Vulnerability{Key: "gpon-rce", Signature: "never-on-the-wire"}
+	}
+	m := ByKey()
+	delete(m, "gpon-rce")
+	m["dlink-hnap"] = &Vulnerability{Key: "forged"}
+
+	got := Classify(payload)
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("Classify after caller mutation = %d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Classify row %d = %s, want %s", i, got[i].Key, want[i].Key)
+		}
+	}
+	if v, ok := Lookup("gpon-rce"); !ok || v != gpon {
+		t.Fatal("Lookup lost a key deleted from a ByKey map")
+	}
+	if v, _ := Lookup("dlink-hnap"); v == nil || v.Key != "dlink-hnap" {
+		t.Fatal("Lookup sees a row overwritten in a ByKey map")
+	}
+	if fresh := Catalog(); len(fresh) != 12 || fresh[0] != gpon {
+		t.Fatal("Catalog sees rows overwritten in an earlier copy")
+	}
+}

@@ -7,7 +7,11 @@
 //	BenchmarkName-8   100   11859 ns/op   5122 B/op   72 allocs/op   1447 samples
 //
 // keeping ns/op, B/op, allocs/op, and any b.ReportMetric extras, plus
-// the goos/goarch/pkg/cpu header lines as run metadata.
+// the goos/goarch/cpu header lines as run metadata. Each row keeps the
+// package whose "pkg:" header was in effect when it was read, and the
+// GOMAXPROCS its name carried ("-8" in the line above) as "procs"; the
+// name itself drops the suffix so rows compare across machines. The
+// document-level "pkg" is set only when every row shares one package.
 //
 // -merge FILE (repeatable) folds the result rows of an existing JSON
 // document — a previous benchjson run, or a cmd/malnetbench summary,
@@ -29,6 +33,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -36,6 +41,8 @@ import (
 
 type result struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
+	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	BytesPerOp *float64           `json:"bytes_per_op,omitempty"`
@@ -78,27 +85,8 @@ func main() {
 		}
 	}
 
-	var d doc
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			d.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			d.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			d.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			d.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				d.Results = append(d.Results, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	d, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -121,6 +109,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads a `go test -bench` transcript, possibly spanning several
+// packages.
+func parse(in io.Reader) (doc, error) {
+	var d doc
+	pkg, pkgs := "", map[string]bool{}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			d.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			d.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			d.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseLine(line); ok {
+				r.Pkg = pkg
+				pkgs[pkg] = true
+				d.Results = append(d.Results, r)
+			}
+		}
+	}
+	if len(pkgs) == 1 {
+		d.Pkg = pkg
+	}
+	return d, sc.Err()
 }
 
 // mergeFile appends the result rows of a benchjson-schema document
@@ -183,7 +203,8 @@ func parseLine(line string) (result, bool) {
 	if err != nil {
 		return result{}, false
 	}
-	r := result{Name: trimProcSuffix(f[0]), Iterations: iters}
+	name, procs := splitProcSuffix(f[0])
+	r := result{Name: name, Procs: procs, Iterations: iters}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -208,15 +229,18 @@ func parseLine(line string) (result, bool) {
 	return r, true
 }
 
-// trimProcSuffix drops the trailing -GOMAXPROCS marker so names are
-// comparable across machines (Benchmark/sub-8 → Benchmark/sub).
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits the trailing -GOMAXPROCS marker off a name,
+// so names are comparable across machines (Benchmark/sub-8 →
+// Benchmark/sub, 8). The testing package omits the marker at
+// GOMAXPROCS=1, so a name without one reports 1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs < 1 {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
