@@ -350,11 +350,13 @@ func BenchmarkSandboxIsolatedRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRoundTrip measures the durable-snapshot codec on
-// a realistic payload: the paper-scale study's four datasets plus its
-// metrics snapshot, framed and sealed exactly as the study driver
-// writes them at day-batch boundaries. This is the per-checkpoint
-// serialization cost a long -checkpoint-dir run pays once per day.
+// BenchmarkCheckpointRoundTrip measures the checkpoint container's
+// encode and decode — framing and the SHA-256 footer — on the
+// paper-scale study's four datasets plus its metrics snapshot. It is
+// not what a study pays per checkpoint: the study's snapshot also
+// carries the world metrics, attack chains and the connection-counter
+// table, and is built, written and pruned each day. That cost is
+// internal/core's BenchmarkSaveCheckpoint.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	st := sharedStudy(b)
 	f := &checkpoint.File{}

@@ -12,7 +12,6 @@ import (
 	"malnet/internal/c2"
 	"malnet/internal/checkpoint"
 	"malnet/internal/obs"
-	"malnet/internal/simnet"
 	"malnet/internal/world"
 )
 
@@ -156,6 +155,10 @@ type CheckpointDatasets struct {
 	DDoS     []DDoSObservation    `json:"ddos"`
 }
 
+// connSeqSection names the world network's connection-counter table,
+// stored raw in simnet's binary layout rather than as JSON.
+const connSeqSection = "conn-seq.bin"
+
 // dayIndex is a study day's position in the calendar.
 func dayIndex(day time.Time) int {
 	return int(day.Sub(world.StudyStart()).Hours() / 24)
@@ -204,13 +207,13 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 		}},
 		{"metrics", st.obs.Root.Registry().Export()},
 		{"world-metrics", st.W.Net.Obs().Registry().Export()},
-		{"conn-seq", st.W.Net.ConnSeqSnapshots()},
 		{"attack-chains", chains},
 	} {
 		if err := f.AddJSON(s.name, s.v); err != nil {
 			return fail(err)
 		}
 	}
+	f.Add(connSeqSection, st.W.Net.AppendConnSeqs(nil))
 	path := checkpoint.DayPath(st.Cfg.Durability.Dir, dayIdx)
 	if err := checkpoint.WriteFile(path, f); err != nil {
 		return fail(err)
@@ -264,7 +267,6 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 		ds           CheckpointDatasets
 		metrics      obs.MetricsDump
 		worldMetrics obs.MetricsDump
-		seqs         []simnet.ConnSeqSnapshot
 		chains       map[string][]c2.ChainState
 	)
 	for _, s := range []struct {
@@ -275,12 +277,15 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 		{"datasets", &ds},
 		{"metrics", &metrics},
 		{"world-metrics", &worldMetrics},
-		{"conn-seq", &seqs},
 		{"attack-chains", &chains},
 	} {
 		if err := f.JSON(s.name, s.v); err != nil {
 			return -1, fmt.Errorf("resume: %s: %w", path, err)
 		}
+	}
+	seqs, found := f.Section(connSeqSection)
+	if !found {
+		return -1, fmt.Errorf("resume: %s: checkpoint: section %q missing", path, connSeqSection)
 	}
 
 	// Re-anchor the attack chains before replaying: the generated
@@ -305,7 +310,9 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 	// Replay reproduced the pure-function state; overwrite the rest.
 	st.obs.Root.Registry().Restore(metrics)
 	wobs.Registry().Restore(worldMetrics)
-	st.W.Net.RestoreConnSeqs(seqs)
+	if err := st.W.Net.RestoreConnSeqs(seqs); err != nil {
+		return -1, fmt.Errorf("resume: %s: %w", path, err)
+	}
 	st.Samples, st.Exploits, st.DDoS = ds.Samples, ds.Exploits, ds.DDoS
 	st.C2s = ds.C2s
 	if st.C2s == nil {

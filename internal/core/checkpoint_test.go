@@ -43,11 +43,15 @@ type studyOutput struct {
 // and receives the trace. killDay < 0 runs to completion; otherwise a
 // context cancel is scheduled on the world clock killDay days into
 // the study and the run is expected to fail with context.Canceled.
-func runCkptStudy(t *testing.T, seed int64, workers int, journalPath, ckptDir string, resume bool, killDay int) studyOutput {
+// tweaks adjust the study config last.
+func runCkptStudy(t *testing.T, seed int64, workers int, journalPath, ckptDir string, resume bool, killDay int, tweaks ...func(*StudyConfig)) studyOutput {
 	t.Helper()
 	w := world.Generate(ckptWorldConfig(seed))
 	scfg := ckptStudyConfig(seed, workers)
 	scfg.Durability = CheckpointConfig{Dir: ckptDir, Resume: resume}
+	for _, tweak := range tweaks {
+		tweak(&scfg)
+	}
 
 	jf, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -138,6 +142,136 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d killDay=%d: resumed %s differs in length: %d vs %d lines",
 				tc.workers, tc.killDay, cmp.what, len(gl), len(wl))
 		}
+	}
+}
+
+// TestCheckpointResumeEquivalenceFaulted covers what a clean network
+// cannot: the connection counters. With a fault plan installed, each
+// dial's faults are drawn from its (dialer, endpoint, sequence)
+// coordinates, so a resume that lost the checkpointed counters would
+// draw a different schedule. Killed before the probe sweep and in the
+// middle of it, at workers 1 and 8, the resumed study must match an
+// uninterrupted one byte for byte: datasets, metrics, journal, and
+// every checkpoint it writes after the resume (compared by SHA-256
+// footer, so workers 1 and 8 also write identical snapshots). The
+// sweep runs for 15 days from ProbeStart, so ProbeStart+7 is mid-sweep.
+func TestCheckpointResumeEquivalenceFaulted(t *testing.T) {
+	const seed = 11
+	base := t.TempDir()
+	faulted := func(sums map[int]string) func(*StudyConfig) {
+		return func(scfg *StudyConfig) {
+			scfg.Determinism.Faults = true
+			scfg.Determinism.FaultSeed = seed + 1000
+			if sums == nil {
+				return
+			}
+			scfg.Durability.OnCheckpoint = func(day int, path string) error {
+				f, err := checkpoint.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				sums[day] = f.SumHex()
+				return nil
+			}
+		}
+	}
+	refSums := map[int]string{}
+	ref := runCkptStudy(t, seed, 1, filepath.Join(base, "ref.jsonl"), filepath.Join(base, "ref-ckpt"), false, -1, faulted(refSums))
+
+	probeDay := dayIndex(world.Generate(ckptWorldConfig(seed)).ProbeStart)
+	type killCase struct{ workers, killDay int }
+	cases := []killCase{{1, probeDay - 30}, {8, probeDay + 7}}
+	if !testing.Short() {
+		// A faulted study costs about three clean ones; -short keeps
+		// one kill point per worker count.
+		cases = append(cases, killCase{8, probeDay - 30}, killCase{1, probeDay + 7})
+	}
+	for _, tc := range cases {
+		ckptDir := filepath.Join(base, "ckpt")
+		journal := filepath.Join(base, "run.jsonl")
+		for _, p := range []string{ckptDir, journal} {
+			if err := os.RemoveAll(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runCkptStudy(t, seed, tc.workers, journal, ckptDir, false, tc.killDay, faulted(nil))
+		snap, _, err := checkpoint.Latest(ckptDir)
+		if err != nil || snap == nil {
+			t.Fatalf("killDay=%d left no checkpoint: %v", tc.killDay, err)
+		}
+		if (snap.Day < probeDay) != (tc.killDay < probeDay) {
+			t.Fatalf("killDay=%d resumes from day %d, on the wrong side of the sweep's start (day %d)", tc.killDay, snap.Day, probeDay)
+		}
+
+		sums := map[int]string{}
+		got := runCkptStudy(t, seed, tc.workers, journal, ckptDir, true, -1, faulted(sums))
+		for _, cmp := range []struct {
+			what, got, want string
+		}{
+			{"datasets", got.datasets, ref.datasets},
+			{"metrics", got.metrics, ref.metrics},
+			{"journal", got.journal, ref.journal},
+		} {
+			if cmp.got != cmp.want {
+				t.Fatalf("workers=%d killDay=%d: resumed %s differ from the uninterrupted run", tc.workers, tc.killDay, cmp.what)
+			}
+		}
+		if len(sums) == 0 {
+			t.Fatalf("workers=%d killDay=%d: no checkpoint written after the resume", tc.workers, tc.killDay)
+		}
+		for day, sum := range sums {
+			if day <= snap.Day {
+				t.Fatalf("workers=%d killDay=%d: resumed run rewrote day %d, before its resume point %d", tc.workers, tc.killDay, day, snap.Day)
+			}
+			if sum != refSums[day] {
+				t.Fatalf("workers=%d killDay=%d: day %d checkpoint %s, uninterrupted run wrote %s", tc.workers, tc.killDay, day, sum, refSums[day])
+			}
+		}
+		for day := range refSums {
+			if _, ok := sums[day]; day > snap.Day && !ok {
+				t.Fatalf("workers=%d killDay=%d: resumed run skipped day %d's checkpoint", tc.workers, tc.killDay, day)
+			}
+		}
+	}
+}
+
+// TestCheckpointResumeRefusesJSONConnSeq: a snapshot whose connection
+// counters are the old JSON "conn-seq" section, with no binary table,
+// cannot resume a study; the error names the missing section.
+func TestCheckpointResumeRefusesJSONConnSeq(t *testing.T) {
+	const seed = 11
+	base := t.TempDir()
+	ckptDir := filepath.Join(base, "ckpt")
+	journal := filepath.Join(base, "run.jsonl")
+	runCkptStudy(t, seed, 2, journal, ckptDir, false, 17)
+	snap, _, err := checkpoint.Latest(ckptDir)
+	if err != nil || snap == nil {
+		t.Fatalf("killed run left no checkpoint: %v", err)
+	}
+	old := &checkpoint.File{}
+	for _, s := range snap.Sections {
+		if s.Name != connSeqSection {
+			old.Add(s.Name, s.Data)
+		}
+	}
+	old.Add("conn-seq", []byte(`[{"Src":"10.99.0.2","Dst":{"IP":"10.0.0.1","Port":23},"Seq":1}]`))
+	if err := checkpoint.WriteFile(snap.Path, old); err != nil {
+		t.Fatal(err)
+	}
+
+	w := world.Generate(ckptWorldConfig(seed))
+	scfg := ckptStudyConfig(seed, 2)
+	scfg.Durability = CheckpointConfig{Dir: ckptDir, Resume: true}
+	jf, err := os.OpenFile(journal, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	scfg.Observability.Obs = obs.NewObserver()
+	scfg.Observability.Obs.SetJournal(jf)
+	_, err = RunStudyContext(context.Background(), w, scfg)
+	if err == nil || !strings.Contains(err.Error(), `section "conn-seq.bin" missing`) {
+		t.Fatalf("resume from a JSON conn-seq snapshot: got %v, want the missing conn-seq.bin section named", err)
 	}
 }
 

@@ -91,16 +91,13 @@ func (l *Lake) readJournal() (commits []*Commit, validLen int64, torn bool, err 
 	return decodeJournal(b)
 }
 
-// appendJournal durably appends one commit frame: any torn tail from
-// a previous crash is truncated away first, then the frame is written
-// at the end and fsync'd. The journal file itself always exists (Open
-// creates it with its magic), so a missing file here is an error, not
-// a fresh lake.
-func (l *Lake) appendJournal(c *Commit) error {
-	_, validLen, _, err := l.readJournal()
-	if err != nil {
-		return err
-	}
+// appendJournal durably appends one commit frame after the journal's
+// valid prefix of validLen bytes, as readJournal measured it under
+// l.mu: any torn tail from a previous crash is truncated away first,
+// then the frame is written at the end and fsync'd. The journal file
+// itself always exists (Open creates it with its magic), so a missing
+// file here is an error, not a fresh lake.
+func (l *Lake) appendJournal(c *Commit, validLen int64) error {
 	frame, err := appendFrame(nil, c)
 	if err != nil {
 		return err

@@ -195,8 +195,9 @@ func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Co
 
 	// Step 2: the journal frame. The commit id is allocated from the
 	// journal itself (max id + 1), so an orphan frame left by a crash
-	// before step 3 never collides with the retry's id.
-	commits, _, _, err := l.readJournal()
+	// before step 3 never collides with the retry's id. The same read
+	// yields the valid prefix the frame is appended after.
+	commits, validLen, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +214,7 @@ func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Co
 		return nil, err
 	}
 	c.Parent = head
-	if err := l.appendJournal(c); err != nil {
+	if err := l.appendJournal(c, validLen); err != nil {
 		return nil, fmt.Errorf("lake: appending journal: %w", err)
 	}
 	if err := l.fail("journal-appended"); err != nil {

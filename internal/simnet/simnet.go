@@ -21,10 +21,11 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
-	"sort"
 	"strconv"
 	"time"
 
@@ -313,6 +314,13 @@ type connSeqKey struct {
 	dst Addr
 }
 
+// connSeqEntry is one pair's counter: the sequence number its next
+// connection will take.
+type connSeqEntry struct {
+	connSeqKey
+	seq uint64
+}
+
 // Network is the virtual Internet.
 type Network struct {
 	Clock *simclock.Clock
@@ -322,8 +330,13 @@ type Network struct {
 	lat    map[[2]netip.Addr]time.Duration
 	nextID uint64
 
-	faults  *faultinject.Plan
-	connSeq map[connSeqKey]uint64
+	faults *faultinject.Plan
+	// connSeqs holds every pair's connection counter in first-dial
+	// order, and connSeqAt indexes it by pair. The order is what the
+	// checkpoint table is written in, so it must be deterministic:
+	// every dial on one Network runs on its clock's goroutine.
+	connSeqs  []connSeqEntry
+	connSeqAt map[connSeqKey]int32
 
 	obs *obs.Recorder
 	m   netMetrics
@@ -393,12 +406,12 @@ func New(clock *simclock.Clock, cfg Config) *Network {
 		cfg.BaseLatency = DefaultConfig().BaseLatency
 	}
 	n := &Network{
-		Clock:   clock,
-		cfg:     cfg,
-		hosts:   make(map[netip.Addr]*Host),
-		lat:     make(map[[2]netip.Addr]time.Duration),
-		faults:  cfg.Faults,
-		connSeq: make(map[connSeqKey]uint64),
+		Clock:     clock,
+		cfg:       cfg,
+		hosts:     make(map[netip.Addr]*Host),
+		lat:       make(map[[2]netip.Addr]time.Duration),
+		faults:    cfg.Faults,
+		connSeqAt: make(map[connSeqKey]int32),
 	}
 	n.bindObs(obs.NewRecorder())
 	return n
@@ -428,53 +441,140 @@ func (n *Network) FaultStats() FaultStats {
 	}
 }
 
-// ConnSeqSnapshot is one (dialing host, destination endpoint) pair's
-// connection-sequence counter — the fault plan's third purity
-// coordinate. The study checkpoints these so a resumed run draws the
-// same fault schedule for every post-resume dial.
-type ConnSeqSnapshot struct {
-	Src netip.Addr
-	Dst Addr
-	Seq uint64
+// nextConnSeq returns the sequence number of the next connection from
+// src to dst — the "conn sequence" coordinate of the fault plan's
+// purity contract. A pair's first dial appends its entry to the slab.
+func (n *Network) nextConnSeq(src netip.Addr, dst Addr) uint64 {
+	k := connSeqKey{src: src, dst: dst}
+	i, ok := n.connSeqAt[k]
+	if !ok {
+		i = int32(len(n.connSeqs))
+		n.connSeqAt[k] = i
+		n.connSeqs = append(n.connSeqs, connSeqEntry{connSeqKey: k})
+	}
+	e := &n.connSeqs[i]
+	seq := e.seq
+	e.seq++
+	return seq
 }
 
-// ConnSeqSnapshots exports every per-pair connection counter, sorted
-// by (src, dst IP, dst port) so the serialized form is deterministic.
-func (n *Network) ConnSeqSnapshots() []ConnSeqSnapshot {
-	out := make([]ConnSeqSnapshot, 0, len(n.connSeq))
-	for k, seq := range n.connSeq {
-		out = append(out, ConnSeqSnapshot{Src: k.src, Dst: k.dst, Seq: seq})
+// The connection-counter table, as AppendConnSeqs writes it: a uvarint
+// entry count, then per entry in first-dial order
+//
+//	src   1 length byte (0 for the zero Addr, 4 or 16), then the address
+//	dst   the same, for the dialed IP
+//	port  2 bytes big-endian, the dialed port
+//	seq   uvarint, the pair's next connection sequence number
+//
+// IPv6 zones are not carried; no simnet host has one.
+const minConnSeqEntry = 1 + 1 + 2 + 1
+
+// AppendConnSeqs appends every per-pair connection counter to b as the
+// binary table above. The counters are the fault plan's third purity
+// coordinate; the study checkpoints them so a resumed run draws the
+// same fault schedule for every post-resume dial.
+func (n *Network) AppendConnSeqs(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(n.connSeqs)))
+	for i := range n.connSeqs {
+		e := &n.connSeqs[i]
+		b = appendIP(b, e.src)
+		b = appendIP(b, e.dst.IP)
+		b = binary.BigEndian.AppendUint16(b, e.dst.Port)
+		b = binary.AppendUvarint(b, e.seq)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src.Less(b.Src)
-		}
-		if a.Dst.IP != b.Dst.IP {
-			return a.Dst.IP.Less(b.Dst.IP)
-		}
-		return a.Dst.Port < b.Dst.Port
-	})
-	return out
+	return b
+}
+
+func appendIP(b []byte, ip netip.Addr) []byte {
+	switch {
+	case ip.Is4():
+		a := ip.As4()
+		return append(append(b, 4), a[:]...)
+	case ip.Is6():
+		a := ip.As16()
+		return append(append(b, 16), a[:]...)
+	}
+	return append(b, 0)
 }
 
 // RestoreConnSeqs replaces the per-pair connection counters with a
-// snapshot.
-func (n *Network) RestoreConnSeqs(snaps []ConnSeqSnapshot) {
-	n.connSeq = make(map[connSeqKey]uint64, len(snaps))
-	for _, s := range snaps {
-		n.connSeq[connSeqKey{src: s.Src, dst: s.Dst}] = s.Seq
+// table written by AppendConnSeqs. Pairs first dialed after the
+// restore append in the order an uninterrupted run would give them.
+// Malformed input — a bad address length, a truncated entry, trailing
+// bytes, a duplicate pair, a non-minimal varint, or a count the bytes
+// cannot hold — is refused and leaves the counters as they were.
+func (n *Network) RestoreConnSeqs(b []byte) error {
+	count, b, err := readUvarint(b)
+	if err != nil {
+		return fmt.Errorf("simnet: conn-seq table count: %w", err)
 	}
+	if count > uint64(len(b))/minConnSeqEntry || count > math.MaxInt32 {
+		return fmt.Errorf("simnet: conn-seq table claims %d entries in %d bytes", count, len(b))
+	}
+	entries := make([]connSeqEntry, count)
+	index := make(map[connSeqKey]int32, count)
+	for i := range entries {
+		e := &entries[i]
+		if e.src, b, err = readIP(b); err != nil {
+			return fmt.Errorf("simnet: conn-seq entry %d src: %w", i, err)
+		}
+		if e.dst.IP, b, err = readIP(b); err != nil {
+			return fmt.Errorf("simnet: conn-seq entry %d dst: %w", i, err)
+		}
+		if len(b) < 2 {
+			return fmt.Errorf("simnet: conn-seq entry %d port: %w", i, errTruncated)
+		}
+		e.dst.Port, b = binary.BigEndian.Uint16(b), b[2:]
+		if e.seq, b, err = readUvarint(b); err != nil {
+			return fmt.Errorf("simnet: conn-seq entry %d seq: %w", i, err)
+		}
+		if _, dup := index[e.connSeqKey]; dup {
+			return fmt.Errorf("simnet: conn-seq entry %d repeats pair %s -> %s", i, e.src, e.dst)
+		}
+		index[e.connSeqKey] = int32(i)
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("simnet: conn-seq table has %d trailing bytes", len(b))
+	}
+	n.connSeqs, n.connSeqAt = entries, index
+	return nil
 }
 
-// nextConnSeq returns the sequence number of the next connection from
-// src to dst — the "conn sequence" coordinate of the fault plan's
-// purity contract.
-func (n *Network) nextConnSeq(src netip.Addr, dst Addr) uint64 {
-	k := connSeqKey{src: src, dst: dst}
-	seq := n.connSeq[k]
-	n.connSeq[k] = seq + 1
-	return seq
+var errTruncated = errors.New("truncated")
+
+func readIP(b []byte) (netip.Addr, []byte, error) {
+	if len(b) == 0 {
+		return netip.Addr{}, b, errTruncated
+	}
+	l, b := int(b[0]), b[1:]
+	if l != 0 && l != 4 && l != 16 {
+		return netip.Addr{}, b, fmt.Errorf("address length %d, want 0, 4 or 16", l)
+	}
+	if len(b) < l {
+		return netip.Addr{}, b, errTruncated
+	}
+	switch l {
+	case 4:
+		return netip.AddrFrom4([4]byte(b[:4])), b[4:], nil
+	case 16:
+		return netip.AddrFrom16([16]byte(b[:16])), b[16:], nil
+	}
+	return netip.Addr{}, b, nil
+}
+
+// readUvarint reads a minimally encoded uvarint, so every accepted
+// table re-encodes to the same bytes.
+func readUvarint(b []byte) (uint64, []byte, error) {
+	v, k := binary.Uvarint(b)
+	switch {
+	case k == 0:
+		return 0, b, errTruncated
+	case k < 0:
+		return 0, b, errors.New("varint overflows uint64")
+	case k > 1 && b[k-1] == 0:
+		return 0, b, errors.New("non-minimal varint")
+	}
+	return v, b[k:], nil
 }
 
 // darkAt reports whether ip is inside an injected blackout at t. A

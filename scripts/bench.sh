@@ -12,7 +12,10 @@
 # iterations: 1. Time-based values (e.g. BENCHTIME=2s) pass through.
 # BENCH selects a subset via -bench's regexp. MERGE lists extra JSON
 # documents (benchjson output or cmd/malnetbench summaries) whose
-# result rows are folded into the archive.
+# result rows are folded into the archive. The archive's "nproc" and
+# "go_version" describe the host that ran the benchmarks: benchjson
+# reads them from its own process, which runs here, right after the
+# benchmarks, with the same toolchain.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

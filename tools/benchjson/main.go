@@ -7,7 +7,10 @@
 //	BenchmarkName-8   100   11859 ns/op   5122 B/op   72 allocs/op   1447 samples
 //
 // keeping ns/op, B/op, allocs/op, and any b.ReportMetric extras, plus
-// the goos/goarch/cpu header lines as run metadata. Each row keeps the
+// the goos/goarch/cpu header lines as run metadata. When stdin holds
+// rows, the document also records the host's CPU count as "nproc" and
+// benchjson's Go version as "go_version": run it on the machine, and
+// with the toolchain, that ran the benchmarks. Each row keeps the
 // package whose "pkg:" header was in effect when it was read, and the
 // GOMAXPROCS its name carried ("-8" in the line above) as "procs"; the
 // name itself drops the suffix so rows compare across machines. The
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -51,11 +55,13 @@ type result struct {
 }
 
 type doc struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []result `json:"results"`
+	GOOS      string   `json:"goos,omitempty"`
+	GOARCH    string   `json:"goarch,omitempty"`
+	Pkg       string   `json:"pkg,omitempty"`
+	CPU       string   `json:"cpu,omitempty"`
+	NProc     int      `json:"nproc,omitempty"`
+	GoVersion string   `json:"go_version,omitempty"`
+	Results   []result `json:"results"`
 }
 
 // multiFlag collects a repeatable -merge flag.
@@ -140,6 +146,9 @@ func parse(in io.Reader) (doc, error) {
 	if len(pkgs) == 1 {
 		d.Pkg = pkg
 	}
+	if len(d.Results) > 0 {
+		d.NProc, d.GoVersion = runtime.NumCPU(), runtime.Version()
+	}
 	return d, sc.Err()
 }
 
@@ -169,6 +178,9 @@ func mergeFile(d *doc, path string) error {
 	}
 	if d.CPU == "" {
 		d.CPU = m.CPU
+	}
+	if d.NProc == 0 {
+		d.NProc, d.GoVersion = m.NProc, m.GoVersion
 	}
 	d.Results = append(d.Results, m.Results...)
 	return nil

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -69,5 +72,44 @@ func TestParseSinglePackageLabelsDocument(t *testing.T) {
 	}
 	if d.Pkg != "malnet/internal/simclock" || len(d.Results) != 1 || d.Results[0].Pkg != d.Pkg || d.Results[0].Procs != 2 {
 		t.Fatalf("single-package document = %+v", d)
+	}
+}
+
+// TestHostStampOnlyWithStdinRows: rows read from stdin are stamped
+// with this host's CPU count and Go version; a merge-only run keeps
+// the archive's own stamp, and a merge under fresh rows keeps the
+// host's.
+func TestHostStampOnlyWithStdinRows(t *testing.T) {
+	archive := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(archive, []byte(`{"nproc": 64, "go_version": "go1.21.0", "results": [{"name": "BenchmarkOld", "iterations": 1, "ns_per_op": 5}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := parse(strings.NewReader(twoPackages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.NProc != runtime.NumCPU() || fresh.GoVersion != runtime.Version() {
+		t.Fatalf("stdin rows stamped nproc %d, %q; want %d, %q", fresh.NProc, fresh.GoVersion, runtime.NumCPU(), runtime.Version())
+	}
+	if err := mergeFile(&fresh, archive); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.NProc != runtime.NumCPU() || fresh.GoVersion != runtime.Version() || len(fresh.Results) != 5 {
+		t.Fatalf("merge under stdin rows: nproc %d, %q, %d rows", fresh.NProc, fresh.GoVersion, len(fresh.Results))
+	}
+
+	mergeOnly, err := parse(strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mergeOnly.NProc != 0 || mergeOnly.GoVersion != "" {
+		t.Fatalf("empty stdin stamped nproc %d, %q", mergeOnly.NProc, mergeOnly.GoVersion)
+	}
+	if err := mergeFile(&mergeOnly, archive); err != nil {
+		t.Fatal(err)
+	}
+	if mergeOnly.NProc != 64 || mergeOnly.GoVersion != "go1.21.0" {
+		t.Fatalf("merge-only run: nproc %d, %q; want the archive's 64, go1.21.0", mergeOnly.NProc, mergeOnly.GoVersion)
 	}
 }
