@@ -522,6 +522,21 @@ func BenchmarkStoreSamples(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildStore is the per-generation cost every reload and
+// every resident time-travel store pays before its first request, at
+// the same sizes as BenchmarkStoreSamples.
+func BenchmarkBuildStore(b *testing.B) {
+	for _, n := range []int{100, 1500, 100000} {
+		ss := syntheticSnapshot(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildStore(ss, nil)
+			}
+		})
+	}
+}
+
 // BenchmarkServeQuery measures the full HTTP path — routing, store
 // lookup, JSON encoding — with the response cache cold (every request
 // recomputes) and warm (every request is a cache hit). The warm path

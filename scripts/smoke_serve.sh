@@ -77,6 +77,11 @@ check_status() { # <golden-file> <want-status> <path>
 
 check serve_headline.json "/v1/headline"
 check serve_samples.json "/v1/samples?family=mirai&limit=2"
+# The other point lookups: one C2 endpoint with the samples citing it,
+# one attack type's first page, and a day-and-endpoint intersection.
+check serve_c2_point.json "/v1/c2/60.0.0.13:1791"
+check serve_attacks_type.json "/v1/attacks?type=SYN%20Flood&limit=3"
+check serve_samples_day_c2.json "/v1/samples?day=2&c2=60.0.0.1:606"
 # /v1/query expressions, pre-escaped: %3D%3D is ==, %20 space, %22 ".
 check serve_query_count.json "/v1/query?q=%7C%20count()%20by%20family"
 check serve_query_filter.json "/v1/query?q=family%3D%3D%22mirai%22%20and%20day%20in%200..365%20%7C%20count()%20by%20c2"
