@@ -1,7 +1,9 @@
 // Command malnetd serves a finished (or still-running) MalNet study
 // over HTTP. It loads the newest valid snapshot from a checkpoint
 // directory — the same day-NNN.ckpt files cmd/malnet writes with
-// -checkpoint-dir — indexes it in memory, and answers JSON queries:
+// -checkpoint-dir — encodes its sample table into columns in memory,
+// and answers JSON queries, every filter a selection over those
+// columns:
 //
 //	GET /v1/headline            dataset sizes + headline findings
 //	GET /v1/metrics             the deterministic metrics section
@@ -24,10 +26,10 @@
 //	                            two selectors (branch-or-run[@day])
 //
 // While a study is still running, malnetd polls the directory and
-// hot-reloads newer snapshots: the indexed store is swapped
-// atomically, so in-flight requests finish against the snapshot they
-// started on. Identical snapshots produce byte-identical responses,
-// which is what makes the smoke test's golden-JSON diff possible.
+// hot-reloads newer snapshots: the store is swapped atomically, so
+// in-flight requests finish against the snapshot they started on.
+// Identical snapshots produce byte-identical responses, which is what
+// makes the smoke test's golden-JSON diff possible.
 //
 // The serving library (internal/serve) never reads the wall clock;
 // the reload ticker lives here, in the command, and request timing is

@@ -90,3 +90,31 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 		}
 	}
 }
+
+// Page calls fn, in ascending order, for the selected rows ranked
+// [skip, skip+limit) and returns how many it visited. Words wholly
+// before skip are passed over by popcount and the walk stops after
+// limit rows: no list of selected positions is ever built.
+func (b *Bitmap) Page(skip, limit int, fn func(i int)) int {
+	n := 0
+	for wi, w := range b.words {
+		if n >= limit {
+			break
+		}
+		if skip > 0 {
+			if c := bits.OnesCount64(w); skip >= c {
+				skip -= c
+				continue
+			}
+			for ; skip > 0; skip-- {
+				w &= w - 1
+			}
+		}
+		base := wi << 6
+		for ; w != 0 && n < limit; n++ {
+			fn(base + bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return n
+}

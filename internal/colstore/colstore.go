@@ -1,12 +1,14 @@
-// Package colstore is the vectorized half of malnetd's query path: a
-// dictionary-encoded columnar mirror of a snapshot's sample table,
-// built once per store generation, plus the filter/aggregate kernels
-// and the small expression language that /v1/query compiles into
-// them.
+// Package colstore is malnetd's one query engine: a dictionary-encoded
+// columnar copy of a snapshot's sample table, built once per store
+// generation, plus the filter/aggregate kernels and the small
+// expression language that /v1/query compiles into them.
 //
-// The row store (internal/serve) answers point lookups from inverted
-// indexes; the profiling questions the paper actually asks ("count
-// alive mirai C2s by day", "top attack types per family") are
+// Every /v1 filter is a selection made here. /v1/query parses its
+// expression into a Plan; the point endpoints in internal/serve
+// (/v1/samples, /v1/c2/{addr}, /v1/attacks, /v1/families) build the
+// same Cmp/Logic nodes, take the plan's selection bitmap, and page
+// through it. The profiling questions the paper asks ("count alive
+// mirai C2s by day", "top attack types per family") are
 // filter-and-aggregate over the whole table, where a row-at-a-time
 // walk pays a pointer chase and a string compare per record. Encode
 // interns the low-cardinality fields (family, disposition, C2
@@ -17,10 +19,9 @@
 //
 // Everything here is a pure function of the snapshot bytes and the
 // query string: no wall clock, no math/rand (tools/vettime enforces
-// both), so columnar results are byte-identical across worker counts
-// exactly like the row store's — the property the differential suite
-// in internal/serve pins against a naive row-at-a-time reference
-// evaluator (RefEval).
+// both), so results are byte-identical across worker counts — the
+// property the differential suite in internal/serve pins against a
+// naive row-at-a-time reference evaluator (RefEval).
 package colstore
 
 import (
@@ -58,17 +59,48 @@ func (d *Dict) Lookup(s string) (uint32, bool) {
 	return id, ok
 }
 
+// Sorted returns the vocabulary in ascending order as a fresh slice,
+// never nil: an empty dictionary encodes to JSON as [], not null.
+func (d *Dict) Sorted() []string {
+	out := make([]string, len(d.Vals))
+	copy(out, d.Vals)
+	sort.Strings(out)
+	return out
+}
+
 // DictCol is a single-valued dictionary column: one ID per row.
 type DictCol struct {
 	Dict *Dict
 	IDs  []uint32
 }
 
+// NewDictCol dictionary-encodes an n-row string column whose row i
+// holds val(i), interning in first-occurrence order — for a table
+// other than the sample batch (D-DDOS's attack type).
+func NewDictCol(n int, val func(i int) string) DictCol {
+	c := DictCol{Dict: newDict(), IDs: make([]uint32, n)}
+	for i := range c.IDs {
+		c.IDs[i] = c.Dict.intern(val(i))
+	}
+	return c
+}
+
+// Eq selects the rows holding v: the kernel behind `field == "v"`.
+// ok is false, and the selection empty, when v is not in the
+// dictionary.
+func (c DictCol) Eq(v string) (sel *Bitmap, ok bool) {
+	sel = NewBitmap(len(c.IDs))
+	id, ok := c.Dict.Lookup(v)
+	if ok {
+		eqU32(c.IDs, id, sel)
+	}
+	return sel, ok
+}
+
 // ListDictCol is a multi-valued dictionary column (a sample's C2
 // endpoints, its observed attack types): row i's values are
 // IDs[Offs[i]:Offs[i+1]], deduplicated within the row in first-seen
-// order — the same one-entry-per-(row,value) rule the row store's
-// inverted indexes follow.
+// order, so a row that names a value twice matches and counts once.
 type ListDictCol struct {
 	Dict *Dict
 	Offs []uint32
@@ -90,9 +122,9 @@ type Batch struct {
 	Retries    []int64
 }
 
-// dayOf is the study-day derivation shared with the row store and the
-// reference evaluator — the three must agree or the differential
-// suite fails.
+// dayOf is the study-day derivation Encode and the reference
+// evaluator share — the two must agree or the differential suite
+// fails.
 func dayOf(rec *core.SampleRecord, start int64) int64 {
 	return (rec.Date.Unix() - start) / 86400
 }
@@ -185,7 +217,5 @@ func (b *Batch) Vocab(field string) []string {
 	default:
 		return nil
 	}
-	out := append([]string(nil), d.Vals...)
-	sort.Strings(out)
-	return out
+	return d.Sorted()
 }

@@ -272,6 +272,85 @@ func TestBitmap(t *testing.T) {
 	}
 }
 
+// TestBitmapPage checks every (skip, limit) window of a few selection
+// shapes against slicing the full ForEach listing.
+func TestBitmapPage(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 130, 300} {
+		for _, every := range []int{1, 3, 64, 97} {
+			b := NewBitmap(n)
+			for i := 0; i < n; i += every {
+				b.Set(i)
+			}
+			var all []int
+			b.ForEach(func(i int) { all = append(all, i) })
+			for skip := 0; skip <= len(all)+2; skip++ {
+				for _, limit := range []int{1, 2, 7, 64, 500} {
+					var got []int
+					visited := b.Page(skip, limit, func(i int) { got = append(got, i) })
+					want := all[min(skip, len(all)):min(skip+limit, len(all))]
+					if visited != len(got) || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("n=%d every=%d skip=%d limit=%d: visited %d rows %v, want %v", n, every, skip, limit, visited, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanSelect: the selection a plan hands out is exactly the rows
+// the reference evaluator keeps.
+func TestPlanSelect(t *testing.T) {
+	samples := testSamples(300)
+	b := Encode(samples)
+	for _, src := range []string{
+		``,
+		`family=="mirai"`,
+		`family=="mirai" and day==5`,
+		`c2=="10.0.1.1:23" and family=="gafgyt"`,
+		`c2=="no-such-endpoint"`,
+	} {
+		q := mustParse(t, src)
+		plan, err := b.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		plan.Select().ForEach(func(i int) { got = append(got, i) })
+		var want []int
+		for i, rec := range samples {
+			if q.Filter == nil || refMatch(q.Filter, rec, world.StudyStart().Unix()) {
+				want = append(want, i)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q selects %v, reference keeps %v", src, got, want)
+		}
+	}
+}
+
+func TestDictColEq(t *testing.T) {
+	vals := []string{"b", "a", "b", "c", "a", "b"}
+	col := NewDictCol(len(vals), func(i int) string { return vals[i] })
+	if !reflect.DeepEqual(col.Dict.Vals, []string{"b", "a", "c"}) {
+		t.Fatalf("dictionary not in first-occurrence order: %v", col.Dict.Vals)
+	}
+	sel, ok := col.Eq("b")
+	var rows []int
+	sel.ForEach(func(i int) { rows = append(rows, i) })
+	if !ok || !reflect.DeepEqual(rows, []int{0, 2, 5}) {
+		t.Fatalf(`Eq("b") = %v ok=%v, want [0 2 5]`, rows, ok)
+	}
+	if sel, ok := col.Eq("zz"); ok || sel.Count() != 0 || sel.Len() != len(vals) {
+		t.Fatalf(`Eq("zz") ok=%v count=%d len=%d, want an empty selection over %d rows`, ok, sel.Count(), sel.Len(), len(vals))
+	}
+	if got := col.Dict.Sorted(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Fatalf("Sorted = %v", got)
+	}
+	if got, _ := json.Marshal(NewDictCol(0, nil).Dict.Sorted()); string(got) != "[]" {
+		t.Fatalf("empty vocabulary encodes as %s, want []", got)
+	}
+}
+
 // BenchmarkColstoreEncode is the encode-throughput row in
 // BENCH_<date>.json: samples/sec interning a paper-scale table into
 // columnar form (build-time cost of each store generation).

@@ -175,15 +175,23 @@ func (b *Batch) Compile(q *Query) (*Plan, error) {
 // Run evaluates the plan: filter kernels produce the selection
 // bitmap, aggregate kernels fold it.
 func (p *Plan) Run() *Result {
+	sel := p.Select()
+	res := &Result{Matched: sel.Count(), Agg: p.q.Agg.Fn, By: p.q.Agg.By}
+	res.Rows = p.aggregate(p.q.Agg, sel)
+	return res
+}
+
+// Select is the filter half of Run: the bitmap of the rows the
+// plan's filter keeps, every row when it has none. Callers that list
+// rows rather than aggregate them page through it (Bitmap.Page).
+func (p *Plan) Select() *Bitmap {
 	sel := NewBitmap(p.b.NumRows)
 	if p.q.Filter == nil {
 		sel.SetAll()
 	} else {
 		p.eval(p.q.Filter, sel)
 	}
-	res := &Result{Matched: sel.Count(), Agg: p.q.Agg.Fn, By: p.q.Agg.By}
-	res.Rows = p.aggregate(p.q.Agg, sel)
-	return res
+	return sel
 }
 
 // eval computes e's selection into out (sized for the batch).

@@ -130,7 +130,7 @@ func countByDict(col DictCol, sel *Bitmap) []int64 {
 
 // countByList counts, per dictionary value, the selected rows whose
 // list contains it. Lists are deduplicated at encode time, so each
-// (row, value) pair contributes once — the inverted-index rule.
+// (row, value) pair contributes once.
 func countByList(col ListDictCol, sel *Bitmap) []int64 {
 	counts := make([]int64, len(col.Dict.Vals))
 	sel.ForEach(func(i int) {

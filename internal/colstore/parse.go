@@ -26,7 +26,7 @@ import (
 //
 // is the paper's "alive mirai C2s mid-study" shape. Parse is syntax
 // only; field names and types are checked by Validate against the
-// sample schema, so both the columnar engine and the row-store
+// sample schema, so both the columnar engine and the row-at-a-time
 // reference evaluator reject exactly the same queries with exactly
 // the same messages.
 

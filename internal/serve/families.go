@@ -78,6 +78,11 @@ func (s *Server) handleFamilies(r *http.Request, sp *redplane.Span) (any, *httpE
 		}
 	}
 
+	counts := st.FamilyCounts()
+	samples := make(map[string]int, len(counts))
+	for _, c := range counts {
+		samples[c.Key] = int(c.Value)
+	}
 	rows := make([]familyInfo, 0, 8)
 	seen := map[string]bool{}
 	for _, p := range c2.Protocols() {
@@ -95,14 +100,13 @@ func (s *Server) handleFamilies(r *http.Request, sp *redplane.Span) (any, *httpE
 			Ports:           ps.Ports,
 			Duty:            ps.Duty,
 			Registered:      true,
-			Samples:         st.FamilySamples(ps.Name),
+			Samples:         samples[ps.Name],
 		})
 	}
-	for _, f := range st.Families() {
-		if seen[f] {
-			continue
+	for _, c := range counts {
+		if !seen[c.Key] {
+			rows = append(rows, familyInfo{Family: c.Key, Samples: samples[c.Key]})
 		}
-		rows = append(rows, familyInfo{Family: f, Samples: st.FamilySamples(f)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Family < rows[j].Family })
 	return familiesResponse{

@@ -23,8 +23,8 @@ import (
 // (/v1/runs, /v1/diff).
 
 // maxResidentStores caps how many historical generations are kept
-// built in memory at once. A Store carries full row and columnar
-// mirrors of its snapshot, so the cap is small; eviction is LRU by
+// built in memory at once. A Store holds its snapshot's records plus
+// their columnar encoding, so the cap is small; eviction is LRU by
 // last request. The default (branch-head) store lives outside this
 // cache and is never evicted.
 const maxResidentStores = 4
@@ -202,16 +202,9 @@ func (s *Server) handleRuns(r *http.Request, sp *redplane.Span) (any, *httpError
 	if herr := s.checkParams(r, "limit"); herr != nil {
 		return nil, herr
 	}
-	limit := 50
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			return nil, badRequest("limit: want a positive integer, got %q", raw)
-		}
-		if n > 500 {
-			n = 500
-		}
-		limit = n
+	limit, _, herr := page(r)
+	if herr != nil {
+		return nil, herr
 	}
 	branches, err := s.lk.Branches()
 	if err != nil {

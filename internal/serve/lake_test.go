@@ -223,6 +223,35 @@ func TestServeLakeSelectorsAndErrors(t *testing.T) {
 	}
 }
 
+// TestServeLakeTimeTravelCached: a historical generation's responses
+// ride the response cache like the head's — a repeated asof= read is
+// one miss, then hits with the same bytes.
+func TestServeLakeTimeTravelCached(t *testing.T) {
+	f := buildLakeFixture(t, 2)
+	srv, err := New(f.lakeDir, obs.NewWall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	path := fmt.Sprintf("/v1/headline?asof=%d", f.midDay)
+	var first headlineResp
+	getOK(t, ts, path, &first)
+	if first.Generation == srv.Store().Generation {
+		t.Fatalf("asof=%d resolved the head generation; the fixture needs a historical one", f.midDay)
+	}
+	_, want := get(t, ts, path)
+	for i := 0; i < 2; i++ {
+		if _, body := get(t, ts, path); !bytes.Equal(body, want) {
+			t.Fatalf("repeat %d of GET %s differs:\n%s\nvs\n%s", i, path, body, want)
+		}
+	}
+	if hits, misses := srv.hits.Load(), srv.misses.Load(); hits != 3 || misses != 1 {
+		t.Fatalf("four identical historical reads: %d hits, %d misses; want 3 and 1", hits, misses)
+	}
+}
+
 // TestServeLakeRunsAndDiff covers the two lake-only endpoints against
 // a two-generation branch.
 func TestServeLakeRunsAndDiff(t *testing.T) {

@@ -140,7 +140,7 @@ func TestServeSlowlogConcurrentHerd(t *testing.T) {
 			// reported into is the span of the request that ran it.
 			want := int64(s.Store().NumSamples())
 			if strings.Contains(e.Path, "family=mirai") {
-				want = int64(len(s.Store().Samples(SampleQuery{Family: "mirai", Day: -1})))
+				want = s.Store().Samples(SampleQuery{Family: "mirai", Day: -1}).Count()
 			}
 			if e.Rows != want {
 				t.Fatalf("leader entry rows %d, want %d: %+v", e.Rows, want, e)

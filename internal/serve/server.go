@@ -304,7 +304,10 @@ func (s *Server) cached(name string, fn endpoint) http.HandlerFunc {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 
-		st := s.store.Load()
+		// def is the default store at dispatch, before any selector
+		// rewrite; putCache keeps the body only while def is current.
+		def := s.store.Load()
+		st := def
 		sp := s.red.Start(name, requestPath(r), st.Generation)
 		// Time travel: a run=/asof= selector re-points the request at
 		// a resolved historical generation before the cache key is
@@ -359,7 +362,7 @@ func (s *Server) cached(name string, fn endpoint) http.HandlerFunc {
 			out := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
 			encodeBufPool.Put(buf)
 			stopEncode()
-			s.putCache(key, st.Generation, out)
+			s.putCache(key, def, out)
 			return out, nil
 		})
 		stopFlight()
@@ -399,15 +402,16 @@ func finishJSON(w http.ResponseWriter, sp *redplane.Span, status int, body []byt
 	sp.Finish(status, len(body))
 }
 
-// putCache inserts a computed 200 body — unless the store has swapped
-// since the computation started, in which case the entry would be
-// correct (its key names the old generation) but unreachable, and a
-// long miss landing after several swaps would strand dead bytes until
-// the next wholesale clear.
-func (s *Server) putCache(key, gen string, body []byte) {
+// putCache inserts a computed 200 body — unless the default store has
+// been swapped since the request resolved it at dispatch (def): the
+// swap cleared the cache, and a long miss landing after several swaps
+// would strand dead bytes until the next wholesale clear. It compares
+// store pointers, not generations, so time-travel bodies, which name
+// a historical generation, are cached too.
+func (s *Server) putCache(key string, def *Store, body []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur := s.store.Load(); cur == nil || cur.Generation != gen {
+	if s.store.Load() != def {
 		return
 	}
 	if len(s.cache) >= maxCacheEntries {
@@ -490,16 +494,10 @@ func envelope(st *Store, total, cursor, count int) pageEnvelope {
 	return e
 }
 
-// clampPage slices [cursor, cursor+limit) out of positions.
-func clampPage(positions []int, cursor, limit int) []int {
-	if cursor >= len(positions) {
-		return nil
-	}
-	end := cursor + limit
-	if end > len(positions) {
-		end = len(positions)
-	}
-	return positions[cursor:end]
+// pageLen is how many of total results the page [cursor,
+// cursor+limit) holds.
+func pageLen(total, cursor, limit int) int {
+	return min(limit, max(0, total-cursor))
 }
 
 func (s *Server) handleHeadline(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
@@ -555,17 +553,15 @@ func (s *Server) handleSamples(st *Store, r *http.Request, sp *redplane.Span) (a
 		}
 		q.Day = n
 	}
-	positions := st.Samples(q)
-	sp.AddRows(len(positions))
-	pg := clampPage(positions, cursor, limit)
-	recs := make([]*core.SampleRecord, len(pg))
-	for i, p := range pg {
-		recs[i] = st.Sample(p)
-	}
+	sel := st.Samples(q)
+	total := int(sel.Count())
+	sp.AddRows(total)
+	recs := make([]*core.SampleRecord, 0, pageLen(total, cursor, limit))
+	sel.Page(cursor, limit, func(i int) { recs = append(recs, st.Sample(i)) })
 	return struct {
 		pageEnvelope
 		Samples []*core.SampleRecord `json:"samples"`
-	}{envelope(st, len(positions), cursor, len(pg)), recs}, nil
+	}{envelope(st, total, cursor, len(recs)), recs}, nil
 }
 
 func (s *Server) handleAttacks(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
@@ -577,30 +573,19 @@ func (s *Server) handleAttacks(st *Store, r *http.Request, sp *redplane.Span) (a
 		return nil, herr
 	}
 	typ := r.URL.Query().Get("type")
-	if typ != "" && len(st.Attacks(typ)) == 0 {
-		known := st.AttackTypes()
-		found := false
-		for _, t := range known {
-			if t == typ {
-				found = true
-			}
-		}
-		if !found {
-			return nil, badRequest("type: unknown attack type %q (known: %s)", typ, strings.Join(known, ", "))
-		}
+	sel, ok := st.Attacks(typ)
+	if !ok {
+		return nil, badRequest("type: unknown attack type %q (known: %s)", typ, strings.Join(st.AttackTypes(), ", "))
 	}
-	positions := st.Attacks(typ)
-	sp.AddRows(len(positions))
-	pg := clampPage(positions, cursor, limit)
-	obsv := make([]core.DDoSObservation, len(pg))
-	for i, p := range pg {
-		obsv[i] = st.Attack(p)
-	}
+	total := int(sel.Count())
+	sp.AddRows(total)
+	obsv := make([]core.DDoSObservation, 0, pageLen(total, cursor, limit))
+	sel.Page(cursor, limit, func(i int) { obsv = append(obsv, st.Attack(i)) })
 	return struct {
 		pageEnvelope
 		Types   []string               `json:"types"`
 		Attacks []core.DDoSObservation `json:"attacks"`
-	}{envelope(st, len(positions), cursor, len(pg)), st.AttackTypes(), obsv}, nil
+	}{envelope(st, total, cursor, len(obsv)), st.AttackTypes(), obsv}, nil
 }
 
 func (s *Server) handleC2Index(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
@@ -615,11 +600,7 @@ func (s *Server) handleC2Index(st *Store, r *http.Request, sp *redplane.Span) (a
 	sp.AddRows(len(addrs))
 	var pg []string
 	if cursor < len(addrs) {
-		end := cursor + limit
-		if end > len(addrs) {
-			end = len(addrs)
-		}
-		pg = addrs[cursor:end]
+		pg = addrs[cursor : cursor+pageLen(len(addrs), cursor, limit)]
 	}
 	return struct {
 		pageEnvelope
@@ -665,15 +646,14 @@ func (s *Server) handleC2(st *Store, r *http.Request, sp *redplane.Span) (any, *
 		return nil, herr
 	}
 	addr := r.PathValue("addr")
-	rec, positions := st.C2(addr)
+	rec, sel := st.C2(addr)
 	if rec == nil {
 		return nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("no such C2 endpoint %q", addr)}
 	}
-	sp.AddRows(len(positions))
-	shas := make([]string, len(positions))
-	for i, p := range positions {
-		shas[i] = st.Sample(p).SHA
-	}
+	n := int(sel.Count())
+	sp.AddRows(n)
+	shas := make([]string, 0, n)
+	sel.ForEach(func(i int) { shas = append(shas, st.Sample(i).SHA) })
 	return struct {
 		Generation string         `json:"generation"`
 		Day        int            `json:"day"`

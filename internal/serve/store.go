@@ -1,8 +1,7 @@
 // Package serve is the read side of a MalNet study: it loads a
-// checkpointed study into an immutable in-memory store with inverted
-// indexes (per family, per collection day, per C2 endpoint, per
-// attack type) and answers the daemon's JSON queries from those
-// indexes — no query ever scans the full sample table. A Store is
+// checkpointed study into an immutable in-memory store and answers
+// the daemon's JSON queries with internal/colstore's kernels — every
+// filter is a selection bitmap over the store's columns. A Store is
 // built once per snapshot generation and never mutated afterwards,
 // which is what makes the hot-reload swap safe: in-flight requests
 // keep reading the store they resolved at dispatch time while new
@@ -20,12 +19,11 @@ import (
 	"malnet/internal/core"
 	"malnet/internal/obs"
 	"malnet/internal/results"
-	"malnet/internal/world"
 )
 
-// Store is one snapshot generation, indexed for point lookups. All
-// fields are write-once at build time; every accessor is safe for
-// concurrent readers.
+// Store is one snapshot generation, encoded for queries. All fields
+// are write-once at build time; every accessor is safe for concurrent
+// readers.
 type Store struct {
 	// Generation is the snapshot file's SHA-256 footer (hex) — the
 	// cache key prefix and the client-visible snapshot id.
@@ -44,33 +42,23 @@ type Store struct {
 	exploits []core.ExploitFinding
 	ddos     []core.DDoSObservation
 	c2s      map[string]*core.C2Record
+	// c2Addrs is the sorted C2 index: every endpoint in D-C2s,
+	// including those no sample cites.
+	c2Addrs []string
 
-	// Inverted indexes over samples (positions in feed order) and
-	// attacks (positions in D-DDOS order).
-	byFamily map[string][]int
-	byDay    map[int][]int
-	byC2     map[string][]int
-	byAttack map[string][]int
-
-	// Unfiltered position lists, built once so the no-filter fast
-	// path (the most common load-test query) doesn't allocate a full
-	// identity slice per request.
-	allSamples []int
-	allAttacks []int
-	c2Addrs    []string
-
-	// batch is the columnar mirror of the sample table: the /v1/query
-	// engine's dictionary-encoded columns and kernels live in
-	// internal/colstore; the row store keeps serving point lookups.
-	batch *colstore.Batch
+	// batch is the sample table's columnar encoding, the scan target
+	// of every sample filter; attackType is D-DDOS's one filter
+	// column, in D-DDOS order.
+	batch      *colstore.Batch
+	attackType colstore.DictCol
 
 	headline results.Headlines
 	metrics  results.MetricsSection
 }
 
-// BuildStore indexes a loaded snapshot. The registry carries the
-// snapshot's reconstructed deterministic metrics (may be nil: the
-// metrics section then reads all-zero).
+// BuildStore encodes a loaded snapshot for queries. The registry
+// carries the snapshot's reconstructed deterministic metrics (may be
+// nil: the metrics section then reads all-zero).
 func BuildStore(ss *core.StudySnapshot, reg *obs.Registry) *Store {
 	ds := ss.Datasets
 	s := &Store{
@@ -81,51 +69,24 @@ func BuildStore(ss *core.StudySnapshot, reg *obs.Registry) *Store {
 		exploits:       ds.Exploits,
 		ddos:           ds.DDoS,
 		c2s:            ds.C2s,
-		byFamily:       map[string][]int{},
-		byDay:          map[int][]int{},
-		byC2:           map[string][]int{},
-		byAttack:       map[string][]int{},
-		headline:       results.HeadlinesFrom(ds),
-		metrics:        results.MetricsSectionFrom(reg),
+		c2Addrs:        make([]string, 0, len(ds.C2s)),
+		batch:          colstore.Encode(ds.Samples),
+		attackType: colstore.NewDictCol(len(ds.DDoS), func(i int) string {
+			return ds.DDoS[i].Command.Attack.String()
+		}),
+		headline: results.HeadlinesFrom(ds),
+		metrics:  results.MetricsSectionFrom(reg),
 	}
-	start := world.StudyStart()
-	for i, rec := range s.samples {
-		s.byFamily[rec.Family] = append(s.byFamily[rec.Family], i)
-		day := int(rec.Date.Sub(start).Hours() / 24)
-		s.byDay[day] = append(s.byDay[day], i)
-		// A sample referencing the same endpoint twice still posts
-		// one index entry.
-		seen := map[string]bool{}
-		for _, c := range rec.C2s {
-			addr := c.Address
-			if !seen[addr] {
-				seen[addr] = true
-				s.byC2[addr] = append(s.byC2[addr], i)
-			}
-		}
-	}
-	for i, o := range s.ddos {
-		s.byAttack[o.Command.Attack.String()] = append(s.byAttack[o.Command.Attack.String()], i)
-	}
-	s.allSamples = make([]int, len(s.samples))
-	for i := range s.allSamples {
-		s.allSamples[i] = i
-	}
-	s.allAttacks = make([]int, len(s.ddos))
-	for i := range s.allAttacks {
-		s.allAttacks[i] = i
-	}
-	s.c2Addrs = make([]string, 0, len(s.c2s))
 	for a := range s.c2s {
 		s.c2Addrs = append(s.c2Addrs, a)
 	}
 	sort.Strings(s.c2Addrs)
-	s.batch = colstore.Encode(s.samples)
 	return s
 }
 
-// Batch is the store's columnar sample table, the /v1/query engine's
-// scan target. Like every Store field it is write-once at build time.
+// Batch is the store's columnar sample table, the scan target of
+// every sample filter. Like every Store field it is write-once at
+// build time.
 func (s *Store) Batch() *colstore.Batch { return s.batch }
 
 // SampleQuery is the /v1/samples filter: zero-valued fields don't
@@ -136,48 +97,42 @@ type SampleQuery struct {
 	C2     string
 }
 
-// Samples returns the feed-order positions matching q. The returned
-// slice aliases the index — callers must not mutate it.
-func (s *Store) Samples(q SampleQuery) []int {
-	// Intersect the narrowest applicable indexes. Each index is
-	// sorted (built in feed order), so intersection preserves order.
-	var lists [][]int
+// filter is q as the expression /v1/query would parse from
+// `family=="…" and day==… and c2=="…"`; nil when nothing constrains.
+func (q SampleQuery) filter() colstore.Expr {
+	var f colstore.Expr
+	and := func(e colstore.Expr) {
+		if f != nil {
+			e = &colstore.Logic{Op: "and", X: f, Y: e}
+		}
+		f = e
+	}
 	if q.Family != "" {
-		lists = append(lists, s.byFamily[q.Family])
+		and(&colstore.Cmp{Field: "family", Op: "==", Str: q.Family, IsStr: true})
 	}
 	if q.Day >= 0 {
-		lists = append(lists, s.byDay[q.Day])
+		and(&colstore.Cmp{Field: "day", Op: "==", Int: int64(q.Day)})
 	}
 	if q.C2 != "" {
-		lists = append(lists, s.byC2[q.C2])
+		and(&colstore.Cmp{Field: "c2", Op: "==", Str: q.C2, IsStr: true})
 	}
-	if len(lists) == 0 {
-		return s.allSamples
-	}
-	out := lists[0]
-	for _, l := range lists[1:] {
-		out = intersect(out, l)
-	}
-	return out
+	return f
 }
 
-// intersect merges two ascending position lists.
-func intersect(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
+// Samples selects the feed-order rows matching q.
+func (s *Store) Samples(q SampleQuery) *colstore.Bitmap {
+	return s.plan(&colstore.Query{Filter: q.filter()}).Select()
+}
+
+// plan compiles a query this package built. Its fields and literal
+// types are fixed by the code that builds it, so Compile cannot
+// reject it.
+func (s *Store) plan(q *colstore.Query) *colstore.Plan {
+	p, err := s.batch.Compile(q)
+	if err != nil {
+		panic("serve: internal query rejected: " + err.Error())
 	}
-	return out
+	return p
 }
 
 // Sample returns the record at feed position i.
@@ -186,50 +141,38 @@ func (s *Store) Sample(i int) *core.SampleRecord { return s.samples[i] }
 // NumSamples is the store's D-Samples size.
 func (s *Store) NumSamples() int { return len(s.samples) }
 
-// C2 returns the record for addr together with the feed positions of
-// the samples that reference it.
-func (s *Store) C2(addr string) (*core.C2Record, []int) {
-	return s.c2s[addr], s.byC2[addr]
+// C2 returns the record for addr (nil when unknown) together with the
+// selection of the samples that cite it.
+func (s *Store) C2(addr string) (*core.C2Record, *colstore.Bitmap) {
+	return s.c2s[addr], s.Samples(SampleQuery{Day: -1, C2: addr})
 }
 
 // C2Addresses lists every known endpoint, sorted. The returned slice
 // is the store's own — callers must not mutate it.
 func (s *Store) C2Addresses() []string { return s.c2Addrs }
 
-// Attacks returns the D-DDOS positions for an attack type, or every
-// position when typ is empty.
-func (s *Store) Attacks(typ string) []int {
+// Attacks selects the D-DDOS rows of an attack type, or every row
+// when typ is empty. ok is false when no row has the type.
+func (s *Store) Attacks(typ string) (sel *colstore.Bitmap, ok bool) {
 	if typ == "" {
-		return s.allAttacks
+		sel = colstore.NewBitmap(len(s.ddos))
+		sel.SetAll()
+		return sel, true
 	}
-	return s.byAttack[typ]
+	return s.attackType.Eq(typ)
 }
 
 // Attack returns the observation at D-DDOS position i.
 func (s *Store) Attack(i int) core.DDoSObservation { return s.ddos[i] }
 
 // AttackTypes lists the attack types present, sorted.
-func (s *Store) AttackTypes() []string {
-	out := make([]string, 0, len(s.byAttack))
-	for t := range s.byAttack {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Store) AttackTypes() []string { return s.attackType.Dict.Sorted() }
 
-// Families lists the sample families present, sorted.
-func (s *Store) Families() []string {
-	out := make([]string, 0, len(s.byFamily))
-	for f := range s.byFamily {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+// FamilyCounts is `| count() by family`: each present family's
+// D-Samples row count, sorted by family.
+func (s *Store) FamilyCounts() []colstore.ResultRow {
+	return s.plan(&colstore.Query{Agg: colstore.Agg{Fn: "count", By: "family"}}).Run().Rows
 }
-
-// FamilySamples reports how many D-Samples rows carry the family.
-func (s *Store) FamilySamples(family string) int { return len(s.byFamily[family]) }
 
 // Headline is the snapshot's precomputed headline findings.
 func (s *Store) Headline() results.Headlines { return s.headline }
