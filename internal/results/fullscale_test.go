@@ -1,15 +1,36 @@
 package results
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"malnet/internal/core"
 	"malnet/internal/world"
 )
 
+// fullScaleDigest pins the paper-scale study byte for byte: a change
+// that moves any dataset record or deterministic metric moves it.
+const fullScaleDigest = "653e1a98f896bcbae4b1ab027d17539dcd1b1630dfb5da1e3e1c6ac786d3df94"
+
+// studyDigest hashes the study's four datasets and its deterministic
+// metrics snapshot, the recipe perfbench pins the -short study with.
+func studyDigest(t *testing.T, st *core.Study) string {
+	t.Helper()
+	h := sha256.New()
+	ds := core.CheckpointDatasets{Samples: st.Samples, C2s: st.C2s, Exploits: st.Exploits, DDoS: st.DDoS}
+	if err := json.NewEncoder(h).Encode(ds); err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(h, st.Metrics().Snapshot())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestFullScaleStudy is the long-haul check: the paper-scale
-// pipeline run, asserted against the headline shapes. ~30 s; skipped
-// with -short.
+// pipeline run, pinned by its digest and asserted against the
+// headline shapes. ~30 s; skipped with -short.
 func TestFullScaleStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -17,6 +38,9 @@ func TestFullScaleStudy(t *testing.T) {
 	w := world.Generate(world.DefaultConfig(42))
 	st := core.RunStudy(w, core.DefaultStudyConfig(42))
 
+	if got := studyDigest(t, st); got != fullScaleDigest {
+		t.Errorf("study digest = %s, want %s", got, fullScaleDigest)
+	}
 	if len(st.Samples) != 1447 {
 		t.Fatalf("samples = %d", len(st.Samples))
 	}
