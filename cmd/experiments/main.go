@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"malnet"
 	"malnet/internal/cli"
 	"malnet/internal/core"
 	"malnet/internal/obs"
@@ -88,55 +89,32 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "done in %v: %d samples, %d C2s, %d exploits, %d DDoS commands\n\n",
 		time.Since(start).Round(time.Millisecond), len(st.Samples), len(st.C2s), len(st.Exploits), len(st.DDoS))
 
-	tables := map[int]func() string{
-		1: func() string { return results.NewTable1(st).Render() },
-		2: func() string { return results.NewTable2(st).Render() },
-		3: func() string { return results.NewTable3(st).Render() },
-		4: func() string { return results.NewTable4(st).Render() },
-		5: func() string { return results.NewTable5().Render() },
-		6: func() string { return results.NewTable6().Render() },
-		7: func() string { return results.NewTable7(st).Render() },
-	}
-	figures := map[int]func() string{
-		1:  func() string { return results.NewFigure1(st).Render() },
-		2:  func() string { return results.NewFigure2(st).Render() },
-		3:  func() string { return results.NewFigure3(st).Render() },
-		4:  func() string { return results.NewFigure4(st).Render() },
-		5:  func() string { return results.NewFigure5(st).Render() },
-		6:  func() string { return results.NewFigure6(st).Render() },
-		7:  func() string { return results.NewFigure7(st).Render() },
-		8:  func() string { return results.NewFigure8(st).Render() },
-		9:  func() string { return results.NewFigure9(st).Render() },
-		10: func() string { return results.NewFigure10(st).Render() },
-		11: func() string { return results.NewFigure11(st).Render() },
-		12: func() string { return results.NewFigure12(st).Render() },
-		13: func() string { return results.NewFigure13(st).Render() },
-	}
-
 	switch {
 	case *table > 0:
-		render, ok := tables[*table]
-		if !ok {
+		s, err := malnet.RenderTable(st, *table)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "no table %d\n", *table)
 			return 2
 		}
-		fmt.Println(render())
+		fmt.Println(s)
 	case *figure > 0:
-		render, ok := figures[*figure]
-		if !ok {
+		s, err := malnet.RenderFigure(st, *figure)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "no figure %d\n", *figure)
 			return 2
 		}
-		fmt.Println(render())
+		fmt.Println(s)
 	case *headlines:
 		fmt.Println(results.NewHeadlines(st).Render())
 		fmt.Println(results.NewDetectionQuality(st).Render())
 	default:
 		for i := 1; i <= 7; i++ {
-			fmt.Println(tables[i]())
+			s, _ := malnet.RenderTable(st, i)
+			fmt.Println(s)
 		}
 		for i := 1; i <= 13; i++ {
-			fmt.Println(figures[i]())
+			s, _ := malnet.RenderFigure(st, i)
+			fmt.Println(s)
 		}
 		fmt.Println(results.NewHeadlines(st).Render())
 		fmt.Println(results.NewDetectionQuality(st).Render())

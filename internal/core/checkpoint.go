@@ -25,17 +25,18 @@ import (
 // run at any worker count.
 //
 // A snapshot does NOT serialize the world: the world is regenerated
-// from the seed, the checkpointed feed publications are replayed, and
-// the shared clock is run forward to the snapshot instant with event
-// journaling off. That replay reproduces everything that is a pure
-// function of (seed, absolute time) — server duty-cycle flips, probe
-// rounds and their aggregates, intel registrations — and the snapshot
-// then overwrites the small set of state that is not: the datasets,
-// the two metrics registries, per-pair connection counters (the fault
-// plan's schedule coordinate), attack-chain positions, and the
-// journal cursor. See DESIGN.md "Durable runs" for what is
-// deliberately left out (ephemeral ports, the ground-truth Issued
-// log) and why that is invisible to study output.
+// from the seed and the shared clock is run forward to the snapshot
+// instant with event journaling off. That replay reproduces everything
+// that is a pure function of (seed, absolute time) — server duty-cycle
+// flips, probe rounds and their aggregates — and the snapshot then
+// overwrites the small set of state that is not: the datasets, the two
+// metrics registries, per-pair connection counters (the fault plan's
+// schedule coordinate), attack-chain positions, and the journal
+// cursor. Intel needs neither: its C2 registrations come with the
+// generated world and a sample scan is a pure function of the sample.
+// See DESIGN.md "Durable runs" for what is deliberately left out
+// (ephemeral ports, the ground-truth Issued log) and why that is
+// invisible to study output.
 
 // CheckpointConfig makes a study durable.
 type CheckpointConfig struct {
@@ -302,7 +303,6 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 	// snapshot's cursor.
 	wobs := st.W.Net.Obs()
 	wobs.EnableEvents(false)
-	st.W.ReplayFeedThrough(world.StudyStart().AddDate(0, 0, meta.Day))
 	st.W.Clock.RunUntil(meta.ClockNow)
 	wobs.DrainEvents()
 	wobs.EnableEvents(st.obs.Journal != nil)

@@ -22,11 +22,9 @@ import (
 // analyzeSample used to be one sequential function; it is now split
 // into three stages with different sharing requirements:
 //
-//   - prepare (serial, feed order): encode the binary and publish it
-//     to the intel feed. Registration mutates the intel DB, so it
-//     stays on the merge goroutine; encoding is pure per-sample and
-//     runs in the pool first.
-//   - static + isolated (parallel): arch sniff, intel gate,
+//   - encode (parallel): build the sample's binary, pure per-sample.
+//   - static + isolated (parallel): arch sniff, intel gate (a scan
+//     is a pure function of the sample's hash and family),
 //     YARA/AVClass labeling, and the isolated sandbox run. Every
 //     worker owns a private shard — its own simclock.Clock and
 //     simnet.Network — so nothing here touches the world clock or
@@ -80,7 +78,7 @@ type sampleOutcome struct {
 	// anchor here so reports are timestamped identically at any
 	// worker count.
 	at  time.Time
-	raw []byte // nil: encode/publish failed, skip silently
+	raw []byte // nil: encode failed, skip silently
 
 	filtered bool          // non-MIPS, counted in FilteredArch
 	rejected bool          // under the MinEngines bar
@@ -209,18 +207,6 @@ func (st *Study) runBatch(ex *executor, sb *sandbox.Sandbox, specs []*world.Samp
 		return err
 	}
 
-	// Publish (serial, feed order: intel registration mutates the
-	// shared DB and must precede this batch's scans).
-	for _, out := range outs {
-		if out.raw == nil {
-			continue
-		}
-		if err := st.W.PublishSample(out.spec); err != nil {
-			out.raw = nil
-			out.obs.Counter("feed.publish_failures").Inc()
-		}
-	}
-
 	// Static analysis + isolated activation (parallel, per-worker
 	// shards).
 	stop = st.obs.Wall.Timer("batch.static_isolated")
@@ -278,7 +264,7 @@ func (st *Study) analyzeStatic(sh *shard, out *sampleOutcome) {
 	sp.SetAttr("sha", sha[:12])
 
 	// Collection gate: >= MinEngines corroborating detections.
-	dets := st.W.Intel.ScanSample(sha, out.at)
+	dets := st.W.Intel.ScanSample(sha, out.spec.Family)
 	if avclass.MaliciousCount(dets) < st.Cfg.Analysis.MinEngines {
 		out.rejected = true
 		reg.Counter("feed.rejected_intel").Inc()

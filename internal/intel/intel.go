@@ -102,21 +102,12 @@ type entry struct {
 	vendors map[int]time.Time
 }
 
-// sampleEntry is the service's knowledge about one binary.
-type sampleEntry struct {
-	sha       string
-	family    string
-	firstSeen time.Time
-	detectors []int // vendor indices that detect it
-}
-
 // Service is the simulated intelligence aggregator.
 type Service struct {
 	seed    int64
 	tun     Tunables
 	vendors []Vendor
 	entries map[string]*entry
-	samples map[string]*sampleEntry
 }
 
 // NewService builds a Service with the standard vendor population
@@ -133,7 +124,6 @@ func NewServiceWith(seed int64, vendors []Vendor, tun Tunables) *Service {
 		tun:     tun,
 		vendors: vendors,
 		entries: make(map[string]*entry),
-		samples: make(map[string]*sampleEntry),
 	}
 }
 
@@ -268,40 +258,23 @@ func (s *Service) QueryAddress(addr string, at time.Time) AddressReport {
 	return rep
 }
 
-// RegisterSample introduces a binary (by hash) with its ground-truth
-// family. AV engines pick it up per their weights.
-func (s *Service) RegisterSample(sha, family string, firstSeen time.Time) {
-	if _, ok := s.samples[sha]; ok {
-		return
-	}
-	se := &sampleEntry{sha: sha, family: family, firstSeen: firstSeen}
-	for i, v := range s.vendors {
+// ScanSample returns per-vendor detections for a binary — the input
+// to the >= 5 engine corroboration check and the AVClass2 labeler.
+// The verdicts are a pure function of (service seed, sha, family): a
+// scan reads only the seed and the vendor population, so scans may
+// run concurrently. Mozi samples are labeled as Mirai by every
+// engine, reproducing the misclassification the paper reports.
+func (s *Service) ScanSample(sha, family string) []avclass.Detection {
+	var out []avclass.Detection
+	for _, v := range s.vendors {
 		// File-scanning coverage is much broader than C2-feed
 		// coverage: even "inactive" URL-feed vendors scan files.
-		p := 0.35 + 0.6*v.Weight
-		if s.hash01(sha, "av", v.Name) < p {
-			se.detectors = append(se.detectors, i)
+		if s.hash01(sha, "av", v.Name) < 0.35+0.6*v.Weight {
+			out = append(out, avclass.Detection{
+				Vendor: v.Name,
+				Label:  detectionLabel(family, v.Name),
+			})
 		}
-	}
-	s.samples[sha] = se
-}
-
-// ScanSample returns per-vendor detections for a sample at query
-// time — the input to the >= 5 engine corroboration check and the
-// AVClass2 labeler. Mozi samples are labeled as Mirai by every
-// engine, reproducing the misclassification the paper reports.
-func (s *Service) ScanSample(sha string, at time.Time) []avclass.Detection {
-	se, ok := s.samples[sha]
-	if !ok {
-		return nil
-	}
-	var out []avclass.Detection
-	for _, idx := range se.detectors {
-		v := s.vendors[idx]
-		out = append(out, avclass.Detection{
-			Vendor: v.Name,
-			Label:  detectionLabel(se.family, v.Name),
-		})
 	}
 	return out
 }
@@ -319,7 +292,9 @@ func detectionLabel(family, vendor string) string {
 	}
 	h := fnv.New32a()
 	h.Write([]byte(vendor))
-	style := styles[int(h.Sum32())%len(styles)]
+	// Reduce in uint32: int(h.Sum32()) is negative for half the
+	// hashes where int is 32 bits wide.
+	style := styles[h.Sum32()%uint32(len(styles))]
 	return fmt.Sprintf(style, titleCase(shown))
 }
 

@@ -3,6 +3,8 @@ package intel
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,8 +192,7 @@ func TestDetectionMonotonicOverTime(t *testing.T) {
 
 func TestScanSampleCorroboration(t *testing.T) {
 	s := NewService(1)
-	s.RegisterSample("sha-abc", "mirai", day0)
-	dets := s.ScanSample("sha-abc", day0)
+	dets := s.ScanSample("sha-abc", "mirai")
 	if avclass.MaliciousCount(dets) < 5 {
 		t.Fatalf("detections = %d, want >= 5 (collection threshold)", len(dets))
 	}
@@ -203,17 +204,59 @@ func TestScanSampleCorroboration(t *testing.T) {
 
 func TestMoziLabeledAsMirai(t *testing.T) {
 	s := NewService(1)
-	s.RegisterSample("sha-mozi", "mozi", day0)
-	fam, _ := avclass.Label(s.ScanSample("sha-mozi", day0))
+	fam, _ := avclass.Label(s.ScanSample("sha-mozi", "mozi"))
 	if fam != "mirai" {
 		t.Fatalf("Mozi sample labeled %q, want mirai (documented AVClass2 failure)", fam)
 	}
 }
 
-func TestScanUnknownSampleEmpty(t *testing.T) {
-	s := NewService(1)
-	if dets := s.ScanSample("nope", day0); dets != nil {
-		t.Fatalf("unknown sample returned %d detections", len(dets))
+// TestScanSampleIsPure checks the contract the study's parallel
+// stage relies on: a scan depends only on (seed, sha, family), so
+// concurrent scans on one Service, and scans in any order on another,
+// all equal a sequential scan.
+func TestScanSampleIsPure(t *testing.T) {
+	type sample struct{ sha, family string }
+	var samples []sample
+	for i, fam := range []string{"mirai", "gafgyt", "tsunami", "mozi", "hajime"} {
+		for j := 0; j < 20; j++ {
+			samples = append(samples, sample{fmt.Sprintf("%064x", i*1000+j), fam})
+		}
+	}
+	want := make([][]avclass.Detection, len(samples))
+	seq := NewService(9)
+	for i, sm := range samples {
+		want[i] = seq.ScanSample(sm.sha, sm.family)
+	}
+
+	shared := NewService(9)
+	const goroutines = 8
+	got := make([][][]avclass.Detection, goroutines)
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			got[g] = make([][]avclass.Detection, len(samples))
+			for i, sm := range samples {
+				got[g][i] = shared.ScanSample(sm.sha, sm.family)
+			}
+		}()
+	}
+	wg.Wait()
+
+	fresh := NewService(9)
+	reversed := make([][]avclass.Detection, len(samples))
+	for i := len(samples) - 1; i >= 0; i-- {
+		reversed[i] = fresh.ScanSample(samples[i].sha, samples[i].family)
+	}
+	got = append(got, reversed)
+
+	for g, scans := range got {
+		for i := range samples {
+			if !reflect.DeepEqual(scans[i], want[i]) {
+				t.Fatalf("scan %d of %v (run %d) = %v, want %v", i, samples[i], g, scans[i], want[i])
+			}
+		}
 	}
 }
 

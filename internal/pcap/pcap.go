@@ -138,9 +138,16 @@ func (pr *Reader) Next() (Record, error) {
 	if incl > uint32(pr.SnapLen)+65536 {
 		return Record{}, fmt.Errorf("pcap: implausible record length %d", incl)
 	}
-	data := make([]byte, incl)
-	if _, err := io.ReadFull(pr.r, data); err != nil {
+	// Grow the buffer as bytes arrive rather than trusting incl_len:
+	// a corrupt header must not cost gigabytes before the short read
+	// shows. Compare in uint32, since int(incl) is negative at or
+	// above 2^31 where int is 32 bits wide.
+	data, err := io.ReadAll(io.LimitReader(pr.r, int64(incl)))
+	if err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrTruncated, err)
+	}
+	if uint32(len(data)) < incl {
+		return Record{}, fmt.Errorf("%w: record holds %d of %d bytes", ErrTruncated, len(data), incl)
 	}
 	return Record{
 		Time:    time.Unix(int64(sec), int64(usec)*1000).UTC(),

@@ -2,8 +2,11 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -87,6 +90,81 @@ func TestTruncatedRecordRejected(t *testing.T) {
 	if _, err := r.Next(); err == nil {
 		t.Fatal("truncated record accepted")
 	}
+}
+
+// oversizedRecordCapture is 40 bytes: a file header with snaplen
+// 0x7fff0000, then one record header whose incl_len claims as much,
+// and no record data.
+func oversizedRecordCapture() []byte {
+	b := make([]byte, fileHeaderLen+recordHeaderLen)
+	binary.LittleEndian.PutUint32(b[0:], MagicMicros)
+	binary.LittleEndian.PutUint32(b[16:], 0x7fff0000)
+	binary.LittleEndian.PutUint32(b[fileHeaderLen+8:], 0x7fff0000)
+	return b
+}
+
+// TestOversizedRecordLengthTruncated: the reader must notice the
+// missing bytes without first allocating what incl_len claims.
+func TestOversizedRecordLengthTruncated(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(oversizedRecordCapture()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Next = %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Next allocated %d bytes for a 40-byte capture", alloc)
+	}
+}
+
+// capture writes n small records with the Writer.
+func capture(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		if err := w.WriteRecord(Record{Time: ts.Add(time.Duration(i) * time.Second), Data: []byte("frame")}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzPcapReader feeds arbitrary bytes to the reader that
+// cmd/pcapdump and cmd/rulecheck run on capture files named on their
+// command lines: it must never panic, and the records it returns
+// never hold more bytes than the input.
+func FuzzPcapReader(f *testing.F) {
+	f.Add([]byte{})
+	// Zero records is the file header alone.
+	for n := 0; n <= 2; n++ {
+		f.Add(capture(f, n))
+	}
+	one := capture(f, 1)
+	f.Add(one[:len(one)-3])
+	f.Add(oversizedRecordCapture())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := NewReader(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		recs, _ := r.ReadAll()
+		total := 0
+		for _, rec := range recs {
+			total += len(rec.Data)
+		}
+		if total > len(in) {
+			t.Fatalf("records hold %d bytes from a %d-byte input", total, len(in))
+		}
+	})
 }
 
 func TestFrameFromRecordTCPDecodes(t *testing.T) {

@@ -277,40 +277,6 @@ func (s *SampleSpec) SHA256() (string, error) {
 	return s.sha, nil
 }
 
-// PublishSample registers the sample with the scanning ecosystem —
-// the moment it lands on VT/MalwareBazaar. The study driver calls
-// this when pulling the day's feed.
-func (w *World) PublishSample(s *SampleSpec) error {
-	sha, err := s.SHA256()
-	if err != nil {
-		return err
-	}
-	w.Intel.RegisterSample(sha, s.Family, s.Date)
-	return nil
-}
-
-// ReplayFeedThrough re-publishes every sample dated on or before day,
-// in feed order, and returns how many were published. It rebuilds the
-// intel service's registration state when a study resumes from a
-// checkpoint: the live run published each day's feed as it processed
-// it, and registration is the only publication side effect, so
-// replaying the publications reproduces the intel state exactly.
-// Per-sample errors are ignored to mirror the live path — a sample
-// whose binary fails to encode was never published there either.
-func (w *World) ReplayFeedThrough(day time.Time) int {
-	n := 0
-	dk := dayKey(day)
-	for _, s := range w.Samples {
-		if dayKey(s.Date) > dk {
-			continue
-		}
-		if w.PublishSample(s) == nil {
-			n++
-		}
-	}
-	return n
-}
-
 // FeedOn returns the samples published on a given day.
 func (w *World) FeedOn(day time.Time) []*SampleSpec {
 	var out []*SampleSpec

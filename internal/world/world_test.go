@@ -396,14 +396,14 @@ func TestSampleBinariesEncodeAndCarryRefs(t *testing.T) {
 	}
 }
 
-func TestPublishSampleRegistersWithIntel(t *testing.T) {
+func TestWorldIntelScansSample(t *testing.T) {
 	w := testWorld(t)
 	s := w.Samples[0]
-	if err := w.PublishSample(s); err != nil {
+	sha, err := s.SHA256()
+	if err != nil {
 		t.Fatal(err)
 	}
-	sha, _ := s.SHA256()
-	dets := w.Intel.ScanSample(sha, s.Date)
+	dets := w.Intel.ScanSample(sha, s.Family)
 	if len(dets) < 5 {
 		t.Fatalf("detections = %d, want >= 5", len(dets))
 	}
