@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"testing"
+	"time"
 
 	"malnet/internal/core"
 	"malnet/internal/world"
@@ -96,5 +97,40 @@ func TestFullScaleStudy(t *testing.T) {
 	f11 := NewFigure11(st)
 	if f11.Types != 8 {
 		t.Fatalf("attack types = %d, want 8", f11.Types)
+	}
+}
+
+// TestShortStudyVariantDigests pins two -short studies (seed 42, 150
+// samples, 12 probe rounds, 2 workers) that the clean pins do not
+// reach: one with every fault class armed, whose schedule reads the
+// per-pair connection counters, and one whose 26-hour live watches
+// run past midnight, so that 31 of its 114 day batches start after
+// their analysis day's midnight. ~10 s; skipped with -short.
+func TestShortStudyVariantDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, tc := range []struct {
+		name   string
+		set    func(*core.StudyConfig)
+		digest string
+	}{
+		{"faulted", func(c *core.StudyConfig) { c.Determinism.Faults = true },
+			"50decbaed0c8eeb5c2334338de630da46c5d13d3f411da5d3052367432daedcc"},
+		{"live-26h", func(c *core.StudyConfig) { c.Windows.Live = 26 * time.Hour },
+			"d1d9f10f9ae204b2f388369e1d95fc7a097a27ae33f222c5f756ff5f48c83e64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wcfg := world.DefaultConfig(42)
+			wcfg.TotalSamples = 150
+			scfg := core.DefaultStudyConfig(42)
+			scfg.Analysis.ProbeRounds = 12
+			scfg.Determinism.Workers = 2
+			tc.set(&scfg)
+			st := core.RunStudy(world.Generate(wcfg), scfg)
+			if got := studyDigest(t, st); got != tc.digest {
+				t.Errorf("study digest = %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }
