@@ -376,3 +376,33 @@ func TestResultsSerializable(t *testing.T) {
 		t.Error("MetricsSectionFrom(registry) != NewMetricsSection(study)")
 	}
 }
+
+// table2Golden is Table 2 of the package's shared study. Three ASes
+// host 31 C2s each, so the rows pin the tie order too.
+const table2Golden = `Table 2: top ASes hosting C2 IPs
+AS Name             ASN     Country  Hosting  Anti-DDoS  C2s  Share
+------------------  ------  -------  -------  ---------  ---  -----
+ColoCrossing        36352   US       Yes      Yes        56   11.7%
+OVH SAS             16276   FR       Yes      Yes        43   9.0%
+IP SERVER LLC       44812   RU       Yes      Yes        41   8.6%
+DigitalOcean        14061   US       Yes      Yes        32   6.7%
+HOSTGLOBAL          202306  RU       Yes      Yes        31   6.5%
+Delis LLC           211252  US       Yes      N/A        31   6.5%
+Serverion LLC       399471  NL       Yes      Yes        31   6.5%
+Serverius           50673   NL       Yes      Yes        27   5.6%
+FranTech Solutions  53667   LU       Yes      Yes        25   5.2%
+Apeiron Global      139884  IN       Yes      No         24   5.0%
+top-10 combined share: 71.2% over 80 ASes total
+`
+
+// TestTable2RowOrderIsStable renders Table 2 twenty times from one
+// study: D-C2s is a map, so a tie order taken from iteration order
+// would differ between renderings.
+func TestTable2RowOrderIsStable(t *testing.T) {
+	st := study(t)
+	for i := 0; i < 20; i++ {
+		if got := NewTable2(st).Render(); got != table2Golden {
+			t.Fatalf("rendering %d:\n%s\nwant:\n%s", i, got, table2Golden)
+		}
+	}
+}

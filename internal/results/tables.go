@@ -92,12 +92,22 @@ func NewTable2(st *core.Study) Table2 {
 		byName[as.Name] = as
 	}
 	t := Table2{TotalASes: len(counts.Labels()), Top10Share: analysis.TopShare(counts, 10)}
-	for _, e := range counts.Sorted() {
+	for _, name := range counts.Labels() {
+		n := counts.Count(name)
 		t.Rows = append(t.Rows, Table2Row{
-			AS: byName[e.Label], C2s: e.Count,
-			Share: float64(e.Count) / float64(counts.Total()),
+			AS: byName[name], C2s: n,
+			Share: float64(n) / float64(counts.Total()),
 		})
 	}
+	// The labels came in D-C2s map order, so rank by count and break
+	// ties by ASN.
+	sort.Slice(t.Rows, func(i, j int) bool {
+		a, b := t.Rows[i], t.Rows[j]
+		if a.C2s != b.C2s {
+			return a.C2s > b.C2s
+		}
+		return a.AS.ASN < b.AS.ASN
+	})
 	return t
 }
 
