@@ -30,8 +30,9 @@ func finishedShortStudy() *Study {
 // BenchmarkSaveCheckpoint measures one day's checkpoint as a durable
 // study pays it: saveCheckpoint builds every section, writes and
 // fsyncs the file, and prunes the day before. It runs on a finished
-// -short study, whose connection-counter table is at its largest, so
-// this is the study's last and dearest checkpoint.
+// -short study, whose datasets and metrics are at their largest, so
+// this is the study's last and dearest checkpoint. The study runs on
+// a clean network, so its connection-counter table is empty.
 func BenchmarkSaveCheckpoint(b *testing.B) {
 	st := finishedShortStudy()
 	dir := b.TempDir()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"malnet/internal/avclass"
@@ -19,27 +20,42 @@ import (
 
 // The parallel study executor.
 //
-// analyzeSample used to be one sequential function; it is now split
-// into three stages with different sharing requirements:
+// A day batch splits in two by what its work may touch:
 //
-//   - encode (parallel): build the sample's binary, pure per-sample.
-//   - static + isolated (parallel): arch sniff, intel gate (a scan
-//     is a pure function of the sample's hash and family),
-//     YARA/AVClass labeling, and the isolated sandbox run. Every
-//     worker owns a private shard — its own simclock.Clock and
-//     simnet.Network — so nothing here touches the world clock or
-//     net. Isolated-mode runs never needed the rest of the world:
-//     InetSim answers everything and scanned addresses are dead air.
+//   - the pure stage (parallel, per sample): encode the binary, then
+//     arch sniff, intel gate (a scan is a pure function of the
+//     sample's hash and family), YARA/AVClass labeling, and the
+//     isolated sandbox run. Every worker owns a private shard — its
+//     own simclock.Clock and simnet.Network — so nothing here touches
+//     the world clock or net. Isolated-mode runs never needed the rest
+//     of the world: InetSim answers everything and scanned addresses
+//     are dead air. The stage is a function of (world seed, sample,
+//     batch anchor) and nothing else.
 //   - merge + live (serial, feed order): fold counters and records
 //     into the Study and run the day-0 liveness / DDoS-watch windows
 //     on the shared sandbox, advancing the shared world clock exactly
 //     as the sequential pipeline did.
 //
+// Since the pure stage reads no world state, it need not wait for its
+// day. A feeder goroutine pushes every batch's pure stage into the
+// pool ahead of the merge goroutine, anchored at the batch's analysis
+// day, and keeps at most lookaheadPerWorker samples per worker pushed
+// and not yet merged. The anchor is a guess: a batch really starts at
+// the world clock's time when the merge goroutine reaches it, which is
+// past midnight when the previous day's live windows ran late. The
+// merge goroutine then drops the guessed outcomes and runs the batch's
+// pure stage again at the real anchor.
+//
 // Determinism at any worker count follows from three properties:
-// every parallel stage is a pure function of (world seed, sample),
-// shards are rebuilt from seed state per sample so no cross-sample
-// state survives, and all mutation of shared state happens on one
-// goroutine in stable feed order.
+// every merged outcome is a pure function of (world seed, sample,
+// real anchor), shards are rebuilt from seed state per sample so no
+// cross-sample state survives, and all mutation of shared state
+// happens on one goroutine in stable feed order.
+
+// lookaheadPerWorker bounds the lookahead: the feeder keeps at most
+// this many samples per worker pushed and not yet merged. A batch
+// larger than the whole bound takes all of it.
+const lookaheadPerWorker = 2
 
 // shard is one worker's private sandbox slot: a clock the worker owns
 // plus the seed state to rebuild a fresh network and sandbox around
@@ -69,16 +85,28 @@ func (sh *shard) run(at time.Time, raw []byte, opts sandbox.RunOptions, rec *obs
 	return sb.Run(raw, opts)
 }
 
-// sampleOutcome carries one feed entry through the pipeline stages.
-// Parallel stages write only their own outcome; the merge stage reads
-// them in feed order.
+// batch is one non-empty day of feed.
+type batch struct {
+	day time.Time // feed day; its index names the checkpoint
+	// anchor is the analysis day's midnight, the feeder's guess at
+	// the world clock's time when the batch starts.
+	anchor time.Time
+	outs   []*sampleOutcome
+}
+
+// sampleOutcome carries one feed entry from its pure stage to the
+// merge. The goroutine running the pure stage owns it until done
+// closes; the merge goroutine reads it after.
 type sampleOutcome struct {
 	spec *world.SampleSpec
-	// at is the shared-clock time the batch started; shard clocks
-	// anchor here so reports are timestamped identically at any
-	// worker count.
-	at  time.Time
-	raw []byte // nil: encode failed, skip silently
+	// at anchors the shard clock, so reports are timestamped
+	// identically at any worker count. A merged outcome always ran at
+	// its batch's start on the world clock.
+	at time.Time
+	// done closes once the pure stage has run, or has been skipped
+	// because the study stopped.
+	done chan struct{}
+	raw  []byte // nil: encode failed, skip silently
 
 	filtered bool          // non-MIPS, counted in FilteredArch
 	rejected bool          // under the MinEngines bar
@@ -86,21 +114,55 @@ type sampleOutcome struct {
 	isoOK    bool          // isolated run completed
 	isoCands []C2Candidate // DetectC2 over the isolated report
 
-	// obs is the sample's private recorder: the parallel stage and
-	// the shard network write here, the merge goroutine folds it into
-	// the study root in feed order (dispatch barriers carry the
-	// ownership handoff). span is the sample's virtual-time trace.
+	// obs is the sample's private recorder: the pure stage and the
+	// shard network write here, the merge goroutine folds it into the
+	// study root in feed order (done carries the ownership handoff).
+	// span is the sample's virtual-time trace.
 	obs  *obs.Recorder
 	span *obs.Span
 }
 
-// executor owns the worker pool. One executor serves a whole study;
-// each daily batch dispatches into it twice (encode, then
-// static+isolated) and merges in between on the caller's goroutine.
+// newOutcome readies spec's pure stage at anchor at. A re-run replaces
+// the outcome whole, so nothing of a guessed run survives it.
+func newOutcome(spec *world.SampleSpec, at time.Time) *sampleOutcome {
+	return &sampleOutcome{spec: spec, at: at, done: make(chan struct{})}
+}
+
+// planBatches lists the non-empty day batches after day index
+// resumedThrough, in feed order, with their outcomes anchored at the
+// analysis day.
+func (st *Study) planBatches(resumedThrough int) []*batch {
+	var out []*batch
+	for day := world.StudyStart(); day.Before(world.StudyEnd()); day = day.AddDate(0, 0, 1) {
+		if dayIndex(day) <= resumedThrough {
+			continue
+		}
+		specs := st.W.FeedOn(day)
+		if len(specs) == 0 {
+			continue
+		}
+		b := &batch{day: day, anchor: day.AddDate(0, 0, st.Cfg.Analysis.DelayDays)}
+		b.outs = make([]*sampleOutcome, len(specs))
+		for i, spec := range specs {
+			b.outs[i] = newOutcome(spec, b.anchor)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// executor owns the worker pool and the feeder. One executor serves a
+// whole study. Its context is the study's, cancelled on close, so a
+// stopped study stops the feeder and every queued task.
 type executor struct {
-	ctx     context.Context
-	tasks   chan func(*shard)
-	batch   sync.WaitGroup // outstanding tasks of the current dispatch
+	ctx    context.Context
+	cancel context.CancelFunc
+	tasks  chan func(*shard)
+	// slots holds one token per sample the feeder has pushed and the
+	// merge goroutine has not yet merged.
+	slots   chan struct{}
+	reruns  atomic.Int64   // batches whose pure stage ran twice
+	feeder  sync.WaitGroup // the feeder goroutine
 	workers sync.WaitGroup // live worker goroutines
 }
 
@@ -121,14 +183,19 @@ func resolveWorkers(n int) int {
 // irrelevant; the world's start keeps timestamps plausible if a bug
 // ever leaks one.
 // wall receives the pool's wall-clock profile (per-worker busy time,
-// live queue depth); it never feeds the deterministic plane.
+// live queue depth, anchor re-runs); it never feeds the deterministic
+// plane.
 func newExecutor(ctx context.Context, n int, seed int64, dns world.Resolver, start time.Time, faults *faultinject.Plan, wall *obs.Wall) *executor {
+	ctx, cancel := context.WithCancel(ctx)
 	ex := &executor{
-		ctx:   ctx,
-		tasks: make(chan func(*shard), n),
+		ctx:    ctx,
+		cancel: cancel,
+		tasks:  make(chan func(*shard), n),
+		slots:  make(chan struct{}, n*lookaheadPerWorker),
 	}
 	wall.SetGauge("executor.workers", func() int64 { return int64(n) })
 	wall.SetGauge("executor.queue_depth", func() int64 { return int64(len(ex.tasks)) })
+	wall.SetCounter("batch.anchor_reruns", ex.reruns.Load)
 	ex.workers.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -138,81 +205,101 @@ func newExecutor(ctx context.Context, n int, seed int64, dns world.Resolver, sta
 				stop := wall.Timer("worker.busy")
 				fn(sh)
 				stop()
-				ex.batch.Done()
 			}
 		}()
 	}
 	return ex
 }
 
-// close shuts the pool down and waits for every worker to exit, so a
-// finished (or cancelled) study leaves no goroutines behind.
+// close stops the feeder and shuts the pool down, waiting for both,
+// so a finished, failed or cancelled study leaves no goroutines
+// behind. Tasks still queued see the cancelled context and skip their
+// work.
 func (ex *executor) close() {
+	ex.cancel()
+	ex.feeder.Wait()
 	close(ex.tasks)
 	ex.workers.Wait()
 }
 
-// dispatch fans fn out over n indices and waits for all of them.
-// On cancellation it stops feeding the pool, waits for in-flight
-// tasks, and returns the context error; tasks already queued see the
-// cancelled context and return without working.
-func (ex *executor) dispatch(n int, fn func(sh *shard, i int)) error {
-	ex.batch.Add(n)
-	sent := 0
-	for i := 0; i < n && ex.ctx.Err() == nil; i++ {
-		i := i
-		select {
-		case ex.tasks <- func(sh *shard) {
-			if ex.ctx.Err() == nil {
-				fn(sh, i)
+// feed starts the feeder: it pushes each batch's pure stage at the
+// batch's guessed anchor, in feed order, taking one slot per sample
+// first.
+func (ex *executor) feed(st *Study, batches []*batch) {
+	ex.feeder.Add(1)
+	go func() {
+		defer ex.feeder.Done()
+		for _, b := range batches {
+			for range ex.slotsFor(b) {
+				select {
+				case ex.slots <- struct{}{}:
+				case <-ex.ctx.Done():
+					return
+				}
 			}
-		}:
-			sent++
+			if ex.push(st, b.outs) != nil {
+				return
+			}
+		}
+	}()
+}
+
+// slotsFor is the number of slots batch b holds from its push until
+// its merge: one per sample, capped at the bound so that a batch
+// larger than the bound still runs.
+func (ex *executor) slotsFor(b *batch) int { return min(len(b.outs), cap(ex.slots)) }
+
+// push queues each outcome's pure stage on the pool, in order. It
+// gives up when the study stops.
+func (ex *executor) push(st *Study, outs []*sampleOutcome) error {
+	for _, out := range outs {
+		task := func(sh *shard) {
+			if ex.ctx.Err() == nil {
+				st.pureStage(sh, out)
+			}
+			close(out.done)
+		}
+		select {
+		case ex.tasks <- task:
 		case <-ex.ctx.Done():
+			return ex.ctx.Err()
 		}
 	}
-	for j := sent; j < n; j++ {
-		ex.batch.Done()
+	return nil
+}
+
+// wait blocks until every outcome's pure stage has finished. A
+// stopped study's outcomes may have been skipped, so it reports the
+// stop rather than letting them merge.
+func (ex *executor) wait(outs []*sampleOutcome) error {
+	for _, out := range outs {
+		select {
+		case <-out.done:
+		case <-ex.ctx.Done():
+			return ex.ctx.Err()
+		}
 	}
-	ex.batch.Wait()
 	return ex.ctx.Err()
 }
 
-// runBatch pushes one day's feed through the staged pipeline.
-func (st *Study) runBatch(ex *executor, sb *sandbox.Sandbox, specs []*world.SampleSpec) error {
-	if len(specs) == 0 {
-		return nil
-	}
-	at := st.W.Clock.Now()
-	events := st.obs != nil && st.obs.Journal != nil
-	outs := make([]*sampleOutcome, len(specs))
-	for i, spec := range specs {
-		rec := obs.NewRecorder()
-		rec.EnableEvents(events)
-		outs[i] = &sampleOutcome{spec: spec, at: at, obs: rec}
-	}
-
-	// Encode (parallel, pure per-sample: SampleSpec memoization is
-	// single-writer here).
-	stop := st.obs.Wall.Timer("batch.encode")
-	err := ex.dispatch(len(outs), func(_ *shard, i int) {
-		if raw, err := outs[i].spec.Binary(); err == nil {
-			outs[i].raw = raw
-		} else {
-			outs[i].obs.Counter("feed.encode_failures").Inc()
+// runBatch merges one day batch, which the feeder has pushed: it
+// waits for the batch's pure stage, re-runs it at the real anchor if
+// the guessed one was wrong, then merges in feed order and runs the
+// live windows.
+func (st *Study) runBatch(ex *executor, sb *sandbox.Sandbox, b *batch) error {
+	stop := st.obs.Wall.Timer("batch.static_isolated")
+	// Even a guess that missed must finish before the re-run: both
+	// would memoize the same specs' binaries.
+	err := ex.wait(b.outs)
+	if at := st.W.Clock.Now(); err == nil && !at.Equal(b.anchor) {
+		ex.reruns.Add(1)
+		for i, out := range b.outs {
+			b.outs[i] = newOutcome(out.spec, at)
 		}
-	})
-	stop()
-	if err != nil {
-		return err
+		if err = ex.push(st, b.outs); err == nil {
+			err = ex.wait(b.outs)
+		}
 	}
-
-	// Static analysis + isolated activation (parallel, per-worker
-	// shards).
-	stop = st.obs.Wall.Timer("batch.static_isolated")
-	err = ex.dispatch(len(outs), func(sh *shard, i int) {
-		st.analyzeStatic(sh, outs[i])
-	})
 	stop()
 	if err != nil {
 		return err
@@ -220,7 +307,7 @@ func (st *Study) runBatch(ex *executor, sb *sandbox.Sandbox, specs []*world.Samp
 
 	// Merge + live windows (serial, feed order, shared clock).
 	stop = st.obs.Wall.Timer("batch.merge_live")
-	for _, out := range outs {
+	for _, out := range b.outs {
 		st.mergeOutcome(sb, out)
 	}
 	stop()
@@ -228,16 +315,32 @@ func (st *Study) runBatch(ex *executor, sb *sandbox.Sandbox, specs []*world.Samp
 	// world recorder; drain them here, on the single merge goroutine,
 	// so the journal order stays deterministic.
 	st.drainWorldEvents()
+	for range ex.slotsFor(b) {
+		<-ex.slots
+	}
+	b.outs = nil // the merged outcomes are garbage now
 	return nil
 }
 
-// analyzeStatic is the parallel stage: collection filters, labeling,
-// and the isolated sandbox run (§2.2–§2.4), all pure per-sample.
-func (st *Study) analyzeStatic(sh *shard, out *sampleOutcome) {
-	raw := out.raw
-	if raw == nil {
+// pureStage runs one sample's pure stage on the worker's shard.
+func (st *Study) pureStage(sh *shard, out *sampleOutcome) {
+	out.obs = obs.NewRecorder()
+	out.obs.EnableEvents(st.obs.Journal != nil)
+	stop := st.obs.Wall.Timer("batch.encode")
+	raw, err := out.spec.Binary()
+	stop()
+	if err != nil {
+		out.obs.Counter("feed.encode_failures").Inc()
 		return
 	}
+	out.raw = raw
+	st.analyzeStatic(sh, out)
+}
+
+// analyzeStatic is the pure stage after encode: collection filters,
+// labeling, and the isolated sandbox run (§2.2–§2.4).
+func (st *Study) analyzeStatic(sh *shard, out *sampleOutcome) {
+	raw := out.raw
 	reg := out.obs.Registry()
 	sp := obs.NewSpan("sample", out.at)
 	sp.SetAttr("date", out.spec.Date.Format("2006-01-02"))

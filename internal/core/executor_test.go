@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -213,6 +214,65 @@ func TestStudyCancellationLeaksNoGoroutines(t *testing.T) {
 
 	// Workers exit via executor.close; give the runtime a moment to
 	// reap them before comparing.
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
+	}
+	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestCheckpointFailureStopsLookahead fails the third checkpoint's
+// OnCheckpoint while the feeder is pushing batches ahead: the study
+// returns that error, holds exactly the batches merged before it (the
+// snapshot the failed checkpoint wrote), and leaves no feeder or
+// worker goroutine behind.
+func TestCheckpointFailureStopsLookahead(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	wcfg := world.DefaultConfig(5)
+	wcfg.TotalSamples = equivWorldSamples()
+	w := world.Generate(wcfg)
+	scfg := DefaultStudyConfig(5)
+	scfg.Analysis.ProbeRounds = 4
+	scfg.Determinism.Workers = 8
+	scfg.Durability.Dir = t.TempDir()
+	errPublish := errors.New("publish failed")
+	checkpoints := 0
+	scfg.Durability.OnCheckpoint = func(int, string) error {
+		if checkpoints++; checkpoints == 3 {
+			return errPublish
+		}
+		return nil
+	}
+	st, err := RunStudyContext(context.Background(), w, scfg)
+	if !errors.Is(err, errPublish) {
+		t.Fatalf("study error = %v, want the OnCheckpoint error", err)
+	}
+	if checkpoints != 3 {
+		t.Fatalf("OnCheckpoint ran %d times after failing on the third", checkpoints)
+	}
+
+	snap, _, err := OpenStudySnapshot(scfg.Durability.Dir)
+	if err != nil || snap == nil {
+		t.Fatalf("third snapshot: %v, %v", snap, err)
+	}
+	merged := 0
+	for day := world.StudyStart(); day.Before(world.StudyEnd()) && dayIndex(day) <= snap.Day; day = day.AddDate(0, 0, 1) {
+		merged += len(w.FeedOn(day))
+	}
+	if st.processed != merged || snap.Meta.Processed != merged {
+		t.Fatalf("study merged %d feed entries, snapshot %d; the first three batches hold %d",
+			st.processed, snap.Meta.Processed, merged)
+	}
+	if !reflect.DeepEqual(st.Samples, snap.Datasets.Samples) {
+		t.Fatalf("study holds %d samples, the snapshot of its last merged batch %d",
+			len(st.Samples), len(snap.Datasets.Samples))
+	}
+
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {

@@ -406,10 +406,10 @@ func RunStudy(w *world.World, cfg StudyConfig) *Study {
 }
 
 // RunStudyContext is RunStudy with cancellation: when ctx is
-// cancelled the executor stops dispatching, waits for in-flight
-// sandbox runs, shuts the worker pool down, and returns the partial
-// study together with ctx's error. A nil error means the study ran
-// to completion.
+// cancelled the feeder stops pushing, queued pure stages are skipped,
+// in-flight sandbox runs finish, the worker pool shuts down, and the
+// partial study, holding only whole merged batches, returns together
+// with ctx's error. A nil error means the study ran to completion.
 func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Study, error) {
 	// The scenario section describes the world, so its source of
 	// truth is the world's config: a zero study scenario adopts it
@@ -500,11 +500,6 @@ func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Stu
 		})
 	}
 
-	// Daily loop: each day's feed runs through the staged executor
-	// (encode → publish → parallel static+isolated → serial
-	// merge+live; see executor.go).
-	ex := newExecutor(ctx, resolveWorkers(cfg.Determinism.Workers), cfg.Determinism.Seed, w.Resolve, clock.Now(), plan, st.obs.Wall)
-	defer ex.close()
 	resumedThrough := -1
 	if cfg.Durability.Resume && cfg.Durability.Dir != "" {
 		day, err := st.resumeFromCheckpoint()
@@ -513,31 +508,31 @@ func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Stu
 		}
 		resumedThrough = day
 	}
+
+	// Daily loop: the feeder runs each day batch's pure stage ahead
+	// on the pool, and this goroutine merges the batches in feed order
+	// on the world clock (see executor.go).
+	batches := st.planBatches(resumedThrough)
+	ex := newExecutor(ctx, resolveWorkers(cfg.Determinism.Workers), cfg.Determinism.Seed, w.Resolve, clock.Now(), plan, st.obs.Wall)
+	defer ex.close()
+	ex.feed(st, batches)
 	saveEvery := cfg.Durability.Every
 	if saveEvery <= 0 {
 		saveEvery = 1
 	}
-	batches := 0
-	for day := world.StudyStart(); day.Before(world.StudyEnd()); day = day.AddDate(0, 0, 1) {
-		if dayIndex(day) <= resumedThrough {
-			continue
+	for i, b := range batches {
+		if clock.Now().Before(b.anchor) {
+			clock.RunUntil(b.anchor)
 		}
-		analysisDay := day.AddDate(0, 0, cfg.Analysis.DelayDays)
-		if clock.Now().Before(analysisDay) {
-			clock.RunUntil(analysisDay)
-		}
-		specs := w.FeedOn(day)
-		if err := st.runBatch(ex, sb, specs); err != nil {
+		if err := st.runBatch(ex, sb, b); err != nil {
 			// A cancelled run keeps its last completed-batch
 			// snapshot; mid-batch state is never checkpointed.
 			st.finalProgress()
 			return st, err
 		}
-		if cfg.Durability.Dir != "" && len(specs) > 0 {
-			if batches++; batches%saveEvery == 0 {
-				if err := st.saveCheckpoint(dayIndex(day)); err != nil {
-					return st, err
-				}
+		if cfg.Durability.Dir != "" && (i+1)%saveEvery == 0 {
+			if err := st.saveCheckpoint(dayIndex(b.day)); err != nil {
+				return st, err
 			}
 		}
 	}

@@ -9,7 +9,7 @@
 //     snapshots and journals are byte-identical at any worker count.
 //     Like simclock, these types are single-goroutine-owned and
 //     unsynchronized; ownership moves between goroutines only across
-//     happens-before edges (the executor's dispatch barriers).
+//     happens-before edges (the executor's per-sample done channels).
 //
 //   - The wall-clock plane — per-stage wall timings and live gauges
 //     (Wall), published via expvar and served with net/http/pprof by

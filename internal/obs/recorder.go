@@ -71,8 +71,8 @@ func (e *Event) SetAttr(key string, value any) {
 // Events are only retained when enabled (the study arms them iff a
 // journal is configured), so un-journaled runs never accumulate
 // event memory. Recorders are single-goroutine-owned, like
-// registries; the executor hands per-sample recorders across its
-// dispatch barriers.
+// registries; the executor hands per-sample recorders from worker to
+// merge goroutine across a done channel.
 type Recorder struct {
 	reg      *Registry
 	events   []*Event

@@ -34,7 +34,8 @@ type Conn struct {
 
 	// Injected-fault schedule, decided once at dial time and shared
 	// (by value) with the accepting side. fSrc/fDst/fSeq are the
-	// dialer-relative fault-plan coordinates; fDir is "out" on the
+	// dialer-relative fault-plan coordinates (fSeq stays 0, a pair's
+	// first number, on a conn dialed with no plan); fDir is "out" on the
 	// dialing side and "in" on the accepting side; fSeg counts data
 	// segments this side has attempted to send. fSrc and fDst are
 	// rendered by faultCoords on first use, so a clean network never
@@ -96,11 +97,13 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		handler: handler,
 		state:   stateConnecting,
 		id:      n.nextID,
-		fSeq:    n.nextConnSeq(h.IP, to),
 		fDir:    "out",
 	}
+	// Only a fault plan reads the pair counters, so a clean network
+	// keeps none.
 	var fSrc, fDst string
 	if n.faults != nil {
+		c.fSeq = n.nextConnSeq(h.IP, to)
 		fSrc, fDst = c.faultCoords()
 	}
 	c.faults = n.faults.ConnPlan(fSrc, fDst, c.fSeq)

@@ -7,6 +7,8 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+
+	"malnet/internal/faultinject"
 )
 
 // connSeqTable encodes a counter table holding exactly entries, in
@@ -123,6 +125,8 @@ func TestConnSeqRestoreRefusesMalformed(t *testing.T) {
 // TestConnSeqDialOrderSurvivesRestore: the table lists pairs in
 // first-dial order, and a network restored from it appends new pairs
 // and continues old counters exactly as the uninterrupted one does.
+// The counters feed only a fault plan, so the networks arm one that
+// injects nothing.
 func TestConnSeqDialOrderSurvivesRestore(t *testing.T) {
 	dialAll := func(n *Network, targets []Addr) {
 		cli := n.AddHost(netip.MustParseAddr("10.0.0.2"))
@@ -131,10 +135,15 @@ func TestConnSeqDialOrderSurvivesRestore(t *testing.T) {
 		}
 		n.Clock.RunFor(time.Minute)
 	}
+	armed := func() *Network {
+		n := newNet()
+		n.InstallFaults(faultinject.New(faultinject.Config{Seed: 1}))
+		return n
+	}
 	first := []Addr{AddrFrom("10.0.0.9", 23), AddrFrom("10.0.0.3", 80), AddrFrom("10.0.0.9", 23)}
 	later := []Addr{AddrFrom("10.0.0.1", 22), AddrFrom("10.0.0.3", 80)}
 
-	straight := newNet()
+	straight := armed()
 	dialAll(straight, first)
 	table := straight.AppendConnSeqs(nil)
 	if want := connSeqTable(
@@ -145,7 +154,7 @@ func TestConnSeqDialOrderSurvivesRestore(t *testing.T) {
 	}
 	dialAll(straight, later)
 
-	resumed := newNet()
+	resumed := armed()
 	dialAll(resumed, later) // traffic the restore must overwrite
 	if err := resumed.RestoreConnSeqs(table); err != nil {
 		t.Fatal(err)
@@ -153,6 +162,20 @@ func TestConnSeqDialOrderSurvivesRestore(t *testing.T) {
 	dialAll(resumed, later)
 	if got, want := resumed.AppendConnSeqs(nil), straight.AppendConnSeqs(nil); !bytes.Equal(got, want) {
 		t.Fatalf("resumed table % x, uninterrupted % x", got, want)
+	}
+}
+
+// TestCleanNetworkKeepsNoConnSeqs: with no fault plan nothing reads
+// the counters, so dialing keeps none and the table stays empty.
+func TestCleanNetworkKeepsNoConnSeqs(t *testing.T) {
+	n := newNet()
+	cli := n.AddHost(netip.MustParseAddr("10.0.0.2"))
+	for _, to := range []Addr{AddrFrom("10.0.0.9", 23), AddrFrom("10.0.0.9", 23), AddrFrom("10.0.0.3", 80)} {
+		cli.DialTCP(to, ConnFuncs{})
+	}
+	n.Clock.RunFor(time.Minute)
+	if got, want := n.AppendConnSeqs(nil), connSeqTable(); !bytes.Equal(got, want) {
+		t.Fatalf("clean network's table % x, want empty % x", got, want)
 	}
 }
 

@@ -331,8 +331,9 @@ type Network struct {
 	nextID uint64
 
 	faults *faultinject.Plan
-	// connSeqs holds every pair's connection counter in first-dial
-	// order, and connSeqAt indexes it by pair. The order is what the
+	// connSeqs holds the connection counter of every pair dialed
+	// under a fault plan, in first-dial order, and connSeqAt indexes
+	// it by pair; a clean network keeps none. The order is what the
 	// checkpoint table is written in, so it must be deterministic:
 	// every dial on one Network runs on its clock's goroutine.
 	connSeqs  []connSeqEntry
@@ -420,6 +421,8 @@ func New(clock *simclock.Clock, cfg Config) *Network {
 // InstallFaults attaches (or, with nil, removes) a fault plan on an
 // already-built network. The study driver uses it to enable chaos on
 // the shared world network whose construction it does not own.
+// Connection counters tick only while a plan is installed, so pairs
+// dialed before the install count from zero.
 func (n *Network) InstallFaults(p *faultinject.Plan) { n.faults = p }
 
 // Faults returns the installed fault plan, nil when the network is
