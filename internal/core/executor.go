@@ -54,7 +54,8 @@ import (
 
 // lookaheadPerWorker bounds the lookahead: the feeder keeps at most
 // this many samples per worker pushed and not yet merged. A batch
-// larger than the whole bound takes all of it.
+// larger than the whole bound takes all of it. On the -short study,
+// 2 ran as fast as 4 or 8 within noise, with a smaller peak RSS.
 const lookaheadPerWorker = 2
 
 // shard is one worker's private sandbox slot: a clock the worker owns

@@ -169,6 +169,31 @@ func TestParallelStudyStress(t *testing.T) {
 	}
 }
 
+// TestLateAnchorEquivalence: with 26-hour live watches most day
+// batches start past their analysis day's midnight, so the merge
+// goroutine re-runs their guessed pure stages at the real anchor. The
+// re-runs must happen, and workers 1 and 4 must still render the same
+// datasets.
+func TestLateAnchorEquivalence(t *testing.T) {
+	run := func(workers int) string {
+		wcfg := world.DefaultConfig(11)
+		wcfg.TotalSamples = equivWorldSamples()
+		scfg := DefaultStudyConfig(11)
+		scfg.Analysis.ProbeRounds = 6
+		scfg.Windows.Live = 26 * time.Hour
+		scfg.Determinism.Workers = workers
+		st := RunStudy(world.Generate(wcfg), scfg)
+		counters, _ := st.Obs().Wall.Snapshot()["counters"].(map[string]int64)
+		if counters["batch.anchor_reruns"] == 0 {
+			t.Fatalf("workers=%d: no batch re-ran at its real anchor", workers)
+		}
+		return renderDatasets(st)
+	}
+	if run(1) != run(4) {
+		t.Fatal("workers=4 output differs from workers=1 when batches re-run")
+	}
+}
+
 // TestStudyCancellationLeaksNoGoroutines aborts a study mid-batch and
 // checks both that it stops early and that the worker pool is fully
 // torn down.
