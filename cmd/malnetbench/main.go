@@ -15,12 +15,12 @@
 // (the coordinated-omission correction).
 //
 // With the daemon's -debug-addr passed as -debug, the summary also
-// reports server-side allocs per request, sampled from the daemon's
-// expvar memstats — the binary-centric view of what each query costs
-// the serving process — and scrapes the daemon's /metrics exposition
-// before and after the run: the "server" rows carry the daemon's own
-// RED deltas for the same burst (request counts, 5xx, cache
-// hit/miss/coalesced, rows scanned) plus histogram-interpolated
+// carries the server's view, from one /metrics scrape before the run
+// and one after: server-side allocs per request (the
+// go_memstats_mallocs_total delta — the binary-centric view of what
+// each query costs the serving process), and "server" rows with the
+// daemon's own RED deltas for the same burst (request counts, 5xx,
+// cache hit/miss/coalesced, rows scanned) plus histogram-interpolated
 // p50/p99/p999 service time. Client p99 minus server p99 is the
 // queueing the daemon never saw.
 //

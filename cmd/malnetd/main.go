@@ -35,10 +35,11 @@
 // the reload ticker lives here, in the command, and request timing is
 // delegated to internal/obs/redplane — the one serving-path package
 // allowed to touch `time`. With -debug-addr set, the debug listener
-// additionally exposes per-endpoint RED metrics in Prometheus text
-// format at /metrics and a slow-query ring at /debug/slowlog
-// (threshold via -slowlog-threshold); -access-log FILE appends one
-// JSON line per request.
+// serves pprof, a slow-query ring at /debug/slowlog (threshold via
+// -slowlog-threshold) and one Prometheus text page at /metrics: the
+// serve.* wall counters and gauges, the Go runtime's allocation and
+// GC totals, and per-endpoint RED metrics. -access-log FILE appends
+// one JSON line per request.
 package main
 
 import (
@@ -99,14 +100,13 @@ func main() {
 	}
 
 	if obsFlags.DebugAddr != "" {
-		wall.PublishExpvar("malnetd")
-		dbg, addr, err := obs.ServeDebug(obsFlags.DebugAddr, wall, red.Mount)
+		dbg, addr, err := obs.ServeDebug(obsFlags.DebugAddr, wall, red)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
 			os.Exit(1)
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (also /metrics, /debug/slowlog, /debug/vars, /debug/wall)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /debug/pprof/, /debug/slowlog)\n", addr)
 	}
 
 	if *reload > 0 {

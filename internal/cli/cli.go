@@ -193,7 +193,7 @@ func NewLoadFlags(fs *flag.FlagSet) *LoadFlags {
 	fs.DurationVar(&f.Duration, "duration", 10*time.Second, "how long to drive load (0 = schedule-only: print the deterministic query schedule and exit)")
 	fs.Int64Var(&f.Seed, "seed", 42, "query-schedule seed; same seed replays the same query sequence")
 	fs.DurationVar(&f.Timeout, "timeout", 10*time.Second, "per-request client timeout")
-	fs.StringVar(&f.Debug, "debug", "", "the daemon's -debug-addr; when set, server-side allocs/op is sampled from its expvar memstats")
+	fs.StringVar(&f.Debug, "debug", "", "the daemon's -debug-addr; when set, its /metrics is scraped before and after the run for server-side RED deltas and allocs/op")
 	fs.StringVar(&f.Out, "out", "", "write the JSON summary to FILE (default stdout)")
 	fs.IntVar(&f.ScheduleN, "schedule", 64, "schedule entries to emit in -duration 0 mode")
 	fs.BoolVar(&f.RequireOK, "require-success", false, "exit 1 unless the run had zero errors and nonzero throughput (CI smoke mode)")
@@ -231,7 +231,7 @@ func (o *ObsFlags) Register(fs *flag.FlagSet) {
 // RegisterDebug declares only -debug-addr — the one observability
 // flag that makes sense for a daemon with no study of its own.
 func (o *ObsFlags) RegisterDebug(fs *flag.FlagSet) {
-	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve live pprof/expvar/wall-profile on ADDR (e.g. :6060)")
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve live pprof and Prometheus /metrics (wall profile, Go runtime) on ADDR (e.g. :6060)")
 }
 
 // Instrument wires the parsed observability flags into observer: the
@@ -277,14 +277,13 @@ func (o *ObsFlags) Instrument(observer *obs.Observer, resume bool, name string) 
 		})
 	}
 	if o.DebugAddr != "" {
-		observer.Wall.PublishExpvar(name)
 		srv, addr, err := obs.ServeDebug(o.DebugAddr, observer.Wall)
 		if err != nil {
 			cleanup()
 			return func() {}, err
 		}
 		undo = append(undo, func() { srv.Close() })
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (also /debug/vars, /debug/wall)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /debug/pprof/)\n", addr)
 	}
 	return cleanup, nil
 }

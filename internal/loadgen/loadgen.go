@@ -29,8 +29,8 @@ type Config struct {
 	// Timeout is the per-request client timeout.
 	Timeout time.Duration
 	// DebugAddr, when set, is the daemon's -debug-addr; the runner
-	// samples its expvar memstats before and after the run to report
-	// *server-side* allocs per request.
+	// scrapes its /metrics before and after the run to report the
+	// server's RED deltas and *server-side* allocs per request.
 	DebugAddr string
 	// MaxC2 caps how many addresses the C2-rank resolution pulls from
 	// /v1/c2 at startup.
@@ -147,7 +147,6 @@ func Run(cfg Config) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	mallocs0, haveMallocs := serverMallocs(client, cfg.DebugAddr)
 	// The pre-run scrape happens after discover, so the discovery
 	// requests themselves are excluded from the server-side deltas.
 	scrape0, haveScrape := scrapeMetrics(client, cfg.DebugAddr)
@@ -200,15 +199,10 @@ func Run(cfg Config) (*Summary, error) {
 	sum := summarize(cfg, all, elapsed)
 	sum.Target = cfg.Target
 	sum.Generation = generation
-	if haveMallocs && sum.Requests > 0 {
-		if mallocs1, ok := serverMallocs(client, cfg.DebugAddr); ok {
-			v := float64(mallocs1-mallocs0) / float64(sum.Requests)
-			sum.ServerAllocsOp = &v
-		}
-	}
 	if haveScrape {
 		if scrape1, ok := scrapeMetrics(client, cfg.DebugAddr); ok {
 			sum.Server = serverDeltas(scrape0, scrape1)
+			sum.ServerAllocsOp = allocsPerOp(scrape0, scrape1, sum.Requests)
 		}
 	}
 	sum.Results = append(benchRows(sum), serverBenchRows(sum.Server)...)
@@ -277,23 +271,6 @@ func discover(client *http.Client, cfg Config) (generation string, addrs []strin
 		addrs = addrs[:cfg.MaxC2]
 	}
 	return head.Generation, addrs, nil
-}
-
-// serverMallocs samples the daemon's expvar memstats.Mallocs — the
-// counter behind the reported server-side allocs/op.
-func serverMallocs(client *http.Client, debugAddr string) (uint64, bool) {
-	if debugAddr == "" {
-		return 0, false
-	}
-	var vars struct {
-		Memstats struct {
-			Mallocs uint64 `json:"Mallocs"`
-		} `json:"memstats"`
-	}
-	if err := getJSON(client, "http://"+debugAddr+"/debug/vars", &vars); err != nil {
-		return 0, false
-	}
-	return vars.Memstats.Mallocs, true
 }
 
 func getJSON(client *http.Client, url string, v any) error {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,10 +122,22 @@ func TestPercentile(t *testing.T) {
 // TestRunAgainstStub drives the full open-loop runner against a stub
 // /v1 API and checks the summary arithmetic: every arrival lands, C2
 // ranks resolve to real addresses, errors are counted, and the bench
-// rows carry the totals.
+// rows carry the totals. The stub is its own debug listener too: its
+// /metrics steps go_memstats_mallocs_total by a known amount between
+// the two scrapes, and server allocs/op must be read from those
+// scrapes alone.
 func TestRunAgainstStub(t *testing.T) {
-	var hits atomic.Int64
+	const mallocStep = 4242
+	var hits, scrapes, otherDebug atomic.Int64
 	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		n := scrapes.Add(1)
+		fmt.Fprintf(w, "# TYPE go_memstats_mallocs_total counter\ngo_memstats_mallocs_total %d\n", 1000+(n-1)*mallocStep)
+	})
+	mux.HandleFunc("/debug/", func(w http.ResponseWriter, r *http.Request) {
+		otherDebug.Add(1)
+		http.NotFound(w, r)
+	})
 	mux.HandleFunc("/v1/headline", func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		fmt.Fprintln(w, `{"generation":"feedface","day":3}`)
@@ -155,6 +168,7 @@ func TestRunAgainstStub(t *testing.T) {
 		Rate:        400,
 		Duration:    500 * time.Millisecond,
 		Seed:        7,
+		DebugAddr:   strings.TrimPrefix(ts.URL, "http://"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +206,16 @@ func TestRunAgainstStub(t *testing.T) {
 		if ep.P50Ns <= 0 || ep.P999Ns < ep.P99Ns || ep.P99Ns < ep.P50Ns {
 			t.Fatalf("endpoint %s has inconsistent percentiles: %+v", ep.Endpoint, ep)
 		}
+	}
+	if n, other := scrapes.Load(), otherDebug.Load(); n != 2 || other != 0 {
+		t.Fatalf("debug traffic: %d /metrics scrapes and %d other requests, want 2 and 0", n, other)
+	}
+	want := float64(mallocStep) / float64(sum.Requests)
+	if sum.ServerAllocsOp == nil || *sum.ServerAllocsOp != want {
+		t.Fatalf("server allocs/op = %v, want %v", sum.ServerAllocsOp, want)
+	}
+	if got := total.Metrics["server-allocs/op"]; got != want {
+		t.Fatalf("total row server-allocs/op = %v, want %v", got, want)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 )
 
 // This file closes the observability loop: the load generator scrapes
-// the daemon's /metrics exposition (internal/obs/redplane) before and
-// after the run and reports the *server's* view of the same burst —
-// RED deltas and histogram-derived percentiles — next to the client's
+// the daemon's /metrics page (obs.ServeDebug, with the red plane of
+// internal/obs/redplane mounted) before and after the run and reports
+// the *server's* view of the same burst — RED deltas, histogram-derived
+// percentiles and allocs per request — next to the client's
 // coordinated-omission-corrected percentiles. The two disagree by
 // exactly the queueing the client saw, which is the point of having
 // both columns.
@@ -171,6 +172,16 @@ sample:
 		total += s.value
 	}
 	return total
+}
+
+// value reads the one sample named name.
+func (p *promScrape) value(name string) (float64, bool) {
+	for _, s := range p.samples {
+		if s.name == name {
+			return s.value, true
+		}
+	}
+	return 0, false
 }
 
 // endpoints lists the distinct values of the endpoint label across
@@ -335,6 +346,19 @@ func serverDeltas(t0, t1 *promScrape) []ServerEndpoint {
 		out = append(out, row)
 	}
 	return out
+}
+
+// allocsPerOp is the server's go_memstats_mallocs_total delta across
+// the run divided by its request count; nil when a scrape lacks the
+// family or nothing was sent.
+func allocsPerOp(t0, t1 *promScrape, requests int64) *float64 {
+	m0, ok0 := t0.value("go_memstats_mallocs_total")
+	m1, ok1 := t1.value("go_memstats_mallocs_total")
+	if !ok0 || !ok1 || requests == 0 {
+		return nil
+	}
+	v := (m1 - m0) / float64(requests)
+	return &v
 }
 
 // serverBenchRows renders the server-side rows in benchjson's result

@@ -7,6 +7,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"malnet/internal/obs"
+	"malnet/internal/obs/redplane"
 )
 
 const scrapeT0 = `# HELP malnetd_requests_total Requests served, by endpoint and status class.
@@ -172,4 +176,88 @@ func TestServerDeltas(t *testing.T) {
 	if got := bench[0].Metrics["cache-hit-rate"]; math.Abs(got-180.0/222) > 1e-12 {
 		t.Fatalf("cache-hit-rate = %v", got)
 	}
+}
+
+// debugPage starts a real debug listener whose /metrics carries every
+// section the daemon's does — a Wall with one stage, one counter and
+// one gauge, the Go runtime, and a red plane with one finished
+// request — and returns its address.
+func debugPage(tb testing.TB) string {
+	tb.Helper()
+	wall := obs.NewWall()
+	wall.Add("batch.static_isolated", 1500*time.Microsecond)
+	wall.SetCounter("serve.cache_hits", func() int64 { return 3 })
+	wall.SetGauge("serve.requests_in_flight", func() int64 { return 1 })
+	red := redplane.New(redplane.Options{SlowThreshold: -1})
+	sp := red.Start("headline", "/v1/headline", "genA")
+	sp.SetCache("miss")
+	sp.Finish(200, 64)
+	srv, addr, err := obs.ServeDebug("127.0.0.1:0", wall, red)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	return addr
+}
+
+// TestScrapeRenderedPage joins the renderer (internal/obs and its red
+// plane) to this package's parser: every section of a live page must
+// parse, and each must carry its values.
+func TestScrapeRenderedPage(t *testing.T) {
+	s, ok := scrapeMetrics(http.DefaultClient, debugPage(t))
+	if !ok {
+		t.Fatal("scrape of a live debug listener failed")
+	}
+	for name, want := range map[string]float64{
+		"malnet_batch_static_isolated_seconds_sum":   0.0015,
+		"malnet_batch_static_isolated_seconds_count": 1,
+		"malnet_serve_cache_hits_total":              3,
+		"malnet_serve_requests_in_flight":            1,
+	} {
+		if got, ok := s.value(name); !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	if got, ok := s.value("go_memstats_mallocs_total"); !ok || got <= 0 {
+		t.Fatalf("go_memstats_mallocs_total = %v (present %v), want > 0", got, ok)
+	}
+	if got := s.sum("_requests_total", map[string]string{"endpoint": "headline", "code": "2xx"}); got != 1 {
+		t.Fatalf("malnetd_requests_total for headline = %v, want 1", got)
+	}
+	if eps := s.endpoints(); len(eps) != 1 || eps[0] != "headline" {
+		t.Fatalf("endpoints = %v, want [headline]", eps)
+	}
+}
+
+// FuzzParseProm: the parser never panics, and whatever it accepts
+// yields one sample per line that is neither blank nor a comment.
+func FuzzParseProm(f *testing.F) {
+	f.Add(scrapeT0)
+	f.Add(scrapeT1)
+	resp, err := http.Get("http://" + debugPage(f) + "/metrics")
+	if err != nil {
+		f.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(page))
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := parseProm(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, line := range strings.Split(text, "\n") {
+			// bufio.ScanLines drops one trailing carriage return.
+			if line = strings.TrimSuffix(line, "\r"); line != "" && !strings.HasPrefix(line, "#") {
+				want++
+			}
+		}
+		if len(s.samples) != want {
+			t.Fatalf("%d samples from %d sample lines:\n%q", len(s.samples), want, text)
+		}
+	})
 }

@@ -12,10 +12,11 @@
 //     happens-before edges (the executor's per-sample done channels).
 //
 //   - The wall-clock plane — per-stage wall timings and live gauges
-//     (Wall), published via expvar and served with net/http/pprof by
-//     ServeDebug. This plane is mutex-protected, nondeterministic by
-//     nature (queue depth, busy time, samples/sec), and never feeds
-//     back into the deterministic snapshot.
+//     (Wall), rendered as Prometheus text on the /metrics page that
+//     ServeDebug serves beside net/http/pprof. This plane is
+//     mutex-protected, nondeterministic by nature (queue depth, busy
+//     time, samples/sec), and never feeds back into the deterministic
+//     snapshot.
 //
 // Every type is nil-receiver safe so instrumented code needs no
 // conditionals: a nil *Counter, *Gauge, *Histogram, *Span, *Event,

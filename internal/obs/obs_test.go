@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -76,6 +77,10 @@ func TestNilSafety(t *testing.T) {
 	w.SetGauge("x", func() int64 { return 0 })
 	if w.Snapshot() != nil {
 		t.Fatal("nil wall Snapshot != nil")
+	}
+	var page strings.Builder
+	if err := w.WritePrometheus(&page); err != nil || page.Len() != 0 {
+		t.Fatalf("nil wall rendered %q, %v", page.String(), err)
 	}
 	var reg *Registry
 	if reg.Counter("x") != nil || reg.ReadCounter("x") != 0 || reg.Snapshot() != "" {
@@ -166,6 +171,9 @@ func TestWallConcurrent(t *testing.T) {
 				stop := w.Timer("busy")
 				stop()
 				w.Add("merge", time.Microsecond)
+				if err := w.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}

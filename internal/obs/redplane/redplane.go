@@ -12,12 +12,13 @@
 // `time` from internal/serve outright, so every latency measurement
 // there must arrive through a Span.
 //
-// Metrics are exposed in Prometheus text exposition format (see
-// prom.go) on the debug listener at /metrics; the slow-query ring is
-// served as JSON at /debug/slowlog. Like the rest of internal/obs,
-// every type is nil-receiver safe: a nil *Plane or *Span absorbs all
-// calls, so instrumented code needs no conditionals and a daemon
-// without the plane armed pays one nil check per touch.
+// Metrics are rendered in Prometheus text exposition format (see
+// prom.go) into the debug listener's /metrics page, which
+// obs.ServeDebug owns; the slow-query ring is served as JSON at
+// /debug/slowlog. Like the rest of internal/obs, every type is
+// nil-receiver safe: a nil *Plane or *Span absorbs all calls, so
+// instrumented code needs no conditionals and a daemon without the
+// plane armed pays one nil check per touch.
 package redplane
 
 import (
@@ -54,10 +55,11 @@ var LatencyBounds = []int64{
 // swap.
 const maxGenerations = 8
 
+// prefix names every family the plane exposes.
+const prefix = "malnetd"
+
 // Options shapes a Plane.
 type Options struct {
-	// Prefix is the metric-name prefix ("malnetd" when empty).
-	Prefix string
 	// SlowThreshold is the slow-query log's admission threshold: a
 	// request whose total duration reaches it is recorded. Zero
 	// records every request (useful in smoke tests); negative
@@ -75,7 +77,6 @@ type Options struct {
 // shared by every request goroutine. All methods are safe for
 // concurrent use.
 type Plane struct {
-	prefix string
 	epoch  int64 // process start, unix nanos: the request-ID namespace
 	reqSeq atomic.Uint64
 
@@ -114,14 +115,10 @@ type genCount struct {
 
 // New returns an armed Plane.
 func New(o Options) *Plane {
-	if o.Prefix == "" {
-		o.Prefix = "malnetd"
-	}
 	if o.SlowCap <= 0 {
 		o.SlowCap = 64
 	}
 	p := &Plane{
-		prefix:    o.Prefix,
 		epoch:     time.Now().UnixNano(),
 		endpoints: map[string]*endpointRED{},
 		accessLog: o.AccessLog,

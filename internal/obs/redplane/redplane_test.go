@@ -4,13 +4,15 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"malnet/internal/obs"
 )
 
 // finish runs one synthetic request through the plane.
@@ -219,12 +221,14 @@ func TestMountServesMetricsAndSlowlog(t *testing.T) {
 	p := New(Options{SlowThreshold: 0})
 	finish(p, "headline", "g", 200, "miss", 1, 10)
 
-	mux := http.NewServeMux()
-	p.Mount(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	srv, addr, err := obs.ServeDebug("127.0.0.1:0", nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + addr
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +236,16 @@ func TestMountServesMetricsAndSlowlog(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
 		t.Fatalf("/metrics: status %d, content-type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
+	// The plane's section rides on the debug listener's one page,
+	// byte-for-byte as WritePrometheus renders it.
+	page, _ := io.ReadAll(resp.Body)
+	var red strings.Builder
+	p.WritePrometheus(&red)
+	if !strings.HasSuffix(string(page), red.String()) {
+		t.Fatalf("/metrics does not end with the red section:\n%s", page)
+	}
 
-	resp2, err := ts.Client().Get(ts.URL + "/debug/slowlog")
+	resp2, err := http.Get(base + "/debug/slowlog")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ type slowLog struct {
 	thresholdNs int64 // -1 disables
 	entries     []SlowEntry
 	next        int // ring cursor
-	full        bool
 }
 
 func (l *slowLog) init(threshold time.Duration, cap int) {
@@ -75,7 +74,6 @@ func (l *slowLog) record(sp *Span, durNs int64) {
 	} else if cap(l.entries) > 0 {
 		l.entries[l.next] = e
 		l.next = (l.next + 1) % cap(l.entries)
-		l.full = true
 	}
 	l.mu.Unlock()
 }

@@ -1,8 +1,12 @@
 package obs
 
 import (
-	"expvar"
+	"fmt"
+	"io"
+	"maps"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -15,7 +19,7 @@ import (
 // or the journal. A nil Wall absorbs all calls.
 type Wall struct {
 	mu       sync.Mutex
-	stages   map[string]*wallStage
+	stages   map[string]wallStage
 	gauges   map[string]func() int64
 	counters map[string]func() int64
 }
@@ -28,7 +32,7 @@ type wallStage struct {
 // NewWall returns an empty wall profile.
 func NewWall() *Wall {
 	return &Wall{
-		stages:   map[string]*wallStage{},
+		stages:   map[string]wallStage{},
 		gauges:   map[string]func() int64{},
 		counters: map[string]func() int64{},
 	}
@@ -51,12 +55,9 @@ func (w *Wall) Add(stage string, d time.Duration) {
 	}
 	w.mu.Lock()
 	s := w.stages[stage]
-	if s == nil {
-		s = &wallStage{}
-		w.stages[stage] = s
-	}
 	s.count++
 	s.nanos += int64(d)
+	w.stages[stage] = s
 	w.mu.Unlock()
 }
 
@@ -86,62 +87,88 @@ func (w *Wall) SetCounter(name string, fn func() int64) {
 	w.mu.Unlock()
 }
 
-// Snapshot returns the current profile as a JSON-friendly map:
-// {"stages": {name: {count, total_ns, mean_ns}}, "gauges": {name: v},
+// read copies the stages and evaluates every live value.
+func (w *Wall) read() (stages map[string]wallStage, gauges, counters map[string]int64) {
+	w.mu.Lock()
+	stages = maps.Clone(w.stages)
+	gaugeFns, counterFns := maps.Clone(w.gauges), maps.Clone(w.counters)
+	w.mu.Unlock()
+	// Gauge and counter functions run outside the lock: they may touch
+	// other structures (channel lengths) and must not deadlock through
+	// us.
+	return stages, readLiveValues(gaugeFns), readLiveValues(counterFns)
+}
+
+// readLiveValues evaluates each func-backed live value.
+func readLiveValues(fns map[string]func() int64) map[string]int64 {
+	out := make(map[string]int64, len(fns))
+	for name, fn := range fns {
+		out[name] = fn()
+	}
+	return out
+}
+
+// Snapshot returns the current profile as a map:
+// {"stages": {name: {count, total_ns}}, "gauges": {name: v},
 // "counters": {name: v}}.
 func (w *Wall) Snapshot() map[string]any {
 	if w == nil {
 		return nil
 	}
-	w.mu.Lock()
-	stages := map[string]any{}
-	for name, s := range w.stages {
-		mean := int64(0)
-		if s.count > 0 {
-			mean = s.nanos / s.count
-		}
-		stages[name] = map[string]int64{"count": s.count, "total_ns": s.nanos, "mean_ns": mean}
+	stages, gauges, counters := w.read()
+	out := map[string]any{}
+	for name, s := range stages {
+		out[name] = map[string]int64{"count": s.count, "total_ns": s.nanos}
 	}
-	gaugeFns := make(map[string]func() int64, len(w.gauges))
-	for name, fn := range w.gauges {
-		gaugeFns[name] = fn
-	}
-	counterFns := make(map[string]func() int64, len(w.counters))
-	for name, fn := range w.counters {
-		counterFns[name] = fn
-	}
-	w.mu.Unlock()
-	// Gauge and counter functions run outside the lock: they may touch
-	// other structures (channel lengths) and must not deadlock through
-	// us.
-	return map[string]any{
-		"stages":   stages,
-		"gauges":   readLiveValues(gaugeFns),
-		"counters": readLiveValues(counterFns),
-	}
+	return map[string]any{"stages": out, "gauges": gauges, "counters": counters}
 }
 
-// readLiveValues evaluates func-backed live values in sorted name
-// order, so snapshots of the same state render stably.
-func readLiveValues(fns map[string]func() int64) map[string]int64 {
-	out := map[string]int64{}
-	names := make([]string, 0, len(fns))
-	for name := range fns {
-		names = append(names, name)
+// WritePrometheus renders the profile in Prometheus text exposition
+// format (version 0.0.4), each kind in sorted name order so identical
+// states render byte-identically. A name's dots become underscores
+// under the malnet_ prefix: a stage is a summary in seconds
+// (malnet_<stage>_seconds_sum and _count), a counter is
+// malnet_<name>_total and a gauge is malnet_<name>.
+func (w *Wall) WritePrometheus(out io.Writer) error {
+	if w == nil {
+		return nil
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		out[name] = fns[name]()
+	stages, gauges, counters := w.read()
+	var b strings.Builder
+	for _, name := range SortedKeys(stages) {
+		m := promName(name) + "_seconds"
+		fmt.Fprintf(&b, "# TYPE %s summary\n%s_sum %s\n%s_count %d\n", m, m, FormatSeconds(stages[name].nanos), m, stages[name].count)
 	}
-	return out
+	for _, name := range SortedKeys(counters) {
+		m := promName(name) + "_total"
+		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", m, m, counters[name])
+	}
+	for _, name := range SortedKeys(gauges) {
+		m := promName(name)
+		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", m, m, gauges[name])
+	}
+	_, err := io.WriteString(out, b.String())
+	return err
 }
 
-// PublishExpvar exposes the wall profile as the named expvar (served
-// on /debug/vars). Publishing the same name twice is a no-op, so
-// repeated studies in one process are safe.
-func (w *Wall) PublishExpvar(name string) {
-	if w == nil || expvar.Get(name) != nil {
-		return
+func promName(name string) string {
+	return "malnet_" + strings.ReplaceAll(name, ".", "_")
+}
+
+// SortedKeys returns m's keys in ascending order, the order every
+// /metrics section renders its names in.
+func SortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	expvar.Publish(name, expvar.Func(func() any { return w.Snapshot() }))
+	sort.Strings(keys)
+	return keys
+}
+
+// FormatSeconds renders a nanosecond count as decimal seconds without
+// exponent notation ('f' format): the Prometheus base unit, in the
+// shape bucket bounds conventionally take.
+func FormatSeconds(ns int64) string {
+	return strconv.FormatFloat(float64(ns)/1e9, 'f', -1, 64)
 }

@@ -16,7 +16,8 @@ import (
 // disposition tally. Everything here is computed once from the obs
 // registry, so the section is byte-identical at any worker count and
 // serializes directly (the daemon serves it as JSON); wall-clock
-// figures are deliberately absent (they live on /debug/wall).
+// figures are deliberately absent (they live on the debug listener's
+// /metrics).
 type MetricsSection struct {
 	FeedDecoysSkipped int64 `json:"feed_decoys_skipped"`
 	FeedRejectedIntel int64 `json:"feed_rejected_intel"`

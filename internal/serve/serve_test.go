@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"malnet/internal/c2"
 	"malnet/internal/core"
 	"malnet/internal/obs"
+	"malnet/internal/obs/redplane"
 	"malnet/internal/world"
 )
 
@@ -345,7 +347,8 @@ func TestServeHotReloadAndCache(t *testing.T) {
 	runStudy(t, dir, 2, 90, false)
 
 	wall := obs.NewWall()
-	srv, err := New(dir, wall)
+	red := redplane.New(redplane.Options{SlowThreshold: -1})
+	srv, err := New(dir, wall, WithRedPlane(red))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +370,8 @@ func TestServeHotReloadAndCache(t *testing.T) {
 	if c := wallCounters(t, wall); c["serve.cache_hits"] < 1 {
 		t.Fatalf("second identical query did not hit the cache: %v", c)
 	}
-	g := wallGauges(t, wall)
-	if g["serve.store_generation"] != 1 {
-		t.Fatalf("store_generation %d before any reload, want 1", g["serve.store_generation"])
+	if body := promBody(t, red); !strings.Contains(body, "malnetd_store_swaps_total 1\n") {
+		t.Fatalf("store swaps before any reload, want 1:\n%s", body)
 	}
 
 	// Open a pagination walk against the old generation.
@@ -399,8 +401,8 @@ func TestServeHotReloadAndCache(t *testing.T) {
 	if after.Day <= before.Day {
 		t.Fatalf("reloaded snapshot day %d is not newer than %d", after.Day, before.Day)
 	}
-	if g := wallGauges(t, wall); g["serve.store_generation"] != 2 {
-		t.Fatalf("store_generation %d after one reload, want 2", g["serve.store_generation"])
+	if body := promBody(t, red); !strings.Contains(body, "malnetd_store_swaps_total 2\n") {
+		t.Fatalf("store swaps after one reload, want 2:\n%s", body)
 	}
 
 	// The cursor from the old generation keeps paging — against the

@@ -40,9 +40,7 @@ type Server struct {
 	residentMu   sync.Mutex
 	resident     map[string]*residentStore
 	residentTick int64
-	// swaps counts store generations ingested (the store_generation
-	// wall gauge): 1 after the initial load, +1 per hot reload.
-	swaps    atomic.Int64
+
 	inflight atomic.Int64
 
 	// Response cache, read-through, keyed by (store generation,
@@ -91,10 +89,10 @@ const maxCacheEntries = 4096
 // fails when dir holds no loadable snapshot — a daemon with nothing
 // to serve should say so at startup, not 500 forever.
 //
-// Wall exposition: levels (requests_in_flight, store_generation,
-// cache_hit_pct) are gauges; monotone totals (cache_hits,
-// cache_misses, cache_coalesced) are counters — see DESIGN.md's
-// expvar key table.
+// Wall exposition: levels (requests_in_flight, resident_stores) are
+// gauges; monotone totals (cache_hits, cache_misses, cache_coalesced)
+// are counters — see DESIGN.md's /metrics table. Store swaps are the
+// red plane's store_swaps_total.
 func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
 	s := &Server{
 		dir:      dir,
@@ -123,17 +121,9 @@ func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
 		return nil, fmt.Errorf("serve: no checkpoint found in %s", dir)
 	}
 	wall.SetGauge("serve.requests_in_flight", s.inflight.Load)
-	wall.SetGauge("serve.store_generation", s.swaps.Load)
 	wall.SetCounter("serve.cache_hits", s.hits.Load)
 	wall.SetCounter("serve.cache_misses", s.misses.Load)
 	wall.SetCounter("serve.cache_coalesced", s.coalesced.Load)
-	wall.SetGauge("serve.cache_hit_pct", func() int64 {
-		h, m := s.hits.Load(), s.misses.Load()
-		if h+m == 0 {
-			return 0
-		}
-		return 100 * h / (h + m)
-	})
 	wall.SetGauge("serve.resident_stores", func() int64 {
 		s.residentMu.Lock()
 		defer s.residentMu.Unlock()
@@ -193,7 +183,6 @@ func (s *Server) Reload() (bool, error) {
 	st := BuildStore(ss, reg)
 	st.Run = run
 	s.store.Store(st)
-	s.swaps.Add(1)
 	s.red.StoreSwapped()
 	s.mu.Lock()
 	s.cache = map[string][]byte{}

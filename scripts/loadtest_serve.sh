@@ -54,9 +54,14 @@ go run ./cmd/malnetbench -target "$base" ${dbg:+-debug "$dbg"} \
   -seed "$seed" -require-success -out "$out"
 
 # With the debug plane up the summary must carry the server-side RED
-# rows scraped from /metrics, next to the client-side percentiles.
+# rows scraped from /metrics, next to the client-side percentiles, and
+# the total row the server allocs/op read from the same scrapes.
 if [ -n "$dbg" ] && ! grep -q '"LoadServe/server/' "$out"; then
   echo "loadtest: summary has no server-side /metrics rows" >&2
+  exit 1
+fi
+if [ -n "$dbg" ] && ! sed -n '/"name": "LoadServe\/total"/,/}/p' "$out" | grep -q '"server-allocs/op"'; then
+  echo "loadtest: LoadServe/total row has no server-allocs/op" >&2
   exit 1
 fi
 

@@ -121,6 +121,20 @@ if ! awk '
   status=1
 fi
 
+# The one page carries the wall and runtime sections beside the red
+# plane's, and the JSON surfaces it replaced are gone.
+for family in go_memstats_mallocs_total malnet_serve_cache_hits_total malnet_serve_requests_in_flight; do
+  if ! grep -Eq "^$family [0-9]" "$tmp/metrics"; then
+    echo "smoke: /metrics has no $family line" >&2
+    status=1
+  fi
+done
+vars_code="$(curl -s -o /dev/null -w '%{http_code}' "http://$dbg/debug/vars")"
+if [ "$vars_code" != 404 ]; then
+  echo "smoke: /debug/vars answered $vars_code, want 404" >&2
+  status=1
+fi
+
 # The golden walk hit these endpoints, so their request counters must
 # be nonzero (and 2xx — golden responses all succeeded).
 for ep in headline samples query; do
