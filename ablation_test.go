@@ -216,7 +216,7 @@ func BenchmarkAblationAnalysisDelay(b *testing.B) {
 				wcfg := world.DefaultConfig(21)
 				wcfg.TotalSamples = 150
 				w := world.Generate(wcfg)
-				scfg := core.DefaultStudyConfig(21)
+				scfg := core.Defaults(21)
 				scfg.Analysis.Probing = false
 				scfg.Analysis.DelayDays = delay
 				st := core.RunStudy(w, scfg)

@@ -40,7 +40,7 @@ func sharedStudy(b *testing.B) *core.Study {
 	b.Helper()
 	fullOnce.Do(func() {
 		w := world.Generate(world.DefaultConfig(42))
-		fullStudy = core.RunStudy(w, core.DefaultStudyConfig(42))
+		fullStudy = core.RunStudy(w, core.Defaults(42))
 	})
 	return fullStudy
 }
@@ -393,7 +393,7 @@ func BenchmarkStudyWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				w := world.Generate(world.DefaultConfig(42))
-				cfg := core.DefaultStudyConfig(42)
+				cfg := core.Defaults(42)
 				cfg.Determinism.Workers = workers
 				b.StartTimer()
 				st := core.RunStudy(w, cfg)

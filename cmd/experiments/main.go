@@ -105,19 +105,9 @@ func run() int {
 		}
 		fmt.Println(s)
 	case *headlines:
-		fmt.Println(results.NewHeadlines(st).Render())
-		fmt.Println(results.NewDetectionQuality(st).Render())
+		fmt.Println(malnet.RenderHeadlines(st))
 	default:
-		for i := 1; i <= 7; i++ {
-			s, _ := malnet.RenderTable(st, i)
-			fmt.Println(s)
-		}
-		for i := 1; i <= 13; i++ {
-			s, _ := malnet.RenderFigure(st, i)
-			fmt.Println(s)
-		}
-		fmt.Println(results.NewHeadlines(st).Render())
-		fmt.Println(results.NewDetectionQuality(st).Render())
+		fmt.Println(malnet.RenderAll(st))
 	}
 	if flags.Faults {
 		fmt.Println(results.NewFaultSummary(st).Render())

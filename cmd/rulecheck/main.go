@@ -75,7 +75,7 @@ func demo() ([]*ids.Rule, []simnet.PacketRecord) {
 	wcfg := world.DefaultConfig(5)
 	wcfg.TotalSamples = 60
 	w := world.Generate(wcfg)
-	scfg := core.DefaultStudyConfig(5)
+	scfg := core.Defaults(5)
 	scfg.Analysis.Probing = false
 	st := core.RunStudy(w, scfg)
 	rules := core.GenerateRules(st)

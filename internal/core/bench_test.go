@@ -20,7 +20,7 @@ func finishedShortStudy() *Study {
 	shortStudyOnce.Do(func() {
 		wcfg := world.DefaultConfig(42)
 		wcfg.TotalSamples = 150
-		scfg := DefaultStudyConfig(42)
+		scfg := Defaults(42)
 		scfg.Analysis.ProbeRounds = 12
 		shortStudy = RunStudy(world.Generate(wcfg), scfg)
 	})

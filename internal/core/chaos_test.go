@@ -13,7 +13,7 @@ func chaosStudy(t *testing.T, seed int64, workers int) *Study {
 	t.Helper()
 	wcfg := world.DefaultConfig(seed)
 	wcfg.TotalSamples = equivWorldSamples()
-	scfg := DefaultStudyConfig(seed)
+	scfg := Defaults(seed)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = workers
 	scfg.Determinism.Faults = true
@@ -96,7 +96,7 @@ func TestChaosSeedIndependence(t *testing.T) {
 	render := func(faultSeed int64) string {
 		wcfg := world.DefaultConfig(11)
 		wcfg.TotalSamples = equivWorldSamples()
-		scfg := DefaultStudyConfig(11)
+		scfg := Defaults(11)
 		scfg.Analysis.ProbeRounds = 2
 		scfg.Determinism.Workers = 4
 		scfg.Determinism.Faults = true

@@ -24,7 +24,7 @@ func ckptWorldConfig(seed int64) world.Config {
 }
 
 func ckptStudyConfig(seed int64, workers int) StudyConfig {
-	scfg := DefaultStudyConfig(seed)
+	scfg := Defaults(seed)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = workers
 	return scfg

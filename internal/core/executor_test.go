@@ -29,7 +29,7 @@ func equivStudy(t *testing.T, seed int64, workers int) *Study {
 	t.Helper()
 	wcfg := world.DefaultConfig(seed)
 	wcfg.TotalSamples = equivWorldSamples()
-	scfg := DefaultStudyConfig(seed)
+	scfg := Defaults(seed)
 	scfg.Analysis.ProbeRounds = 6
 	scfg.Determinism.Workers = workers
 	return RunStudy(world.Generate(wcfg), scfg)
@@ -178,7 +178,7 @@ func TestLateAnchorEquivalence(t *testing.T) {
 	run := func(workers int) string {
 		wcfg := world.DefaultConfig(11)
 		wcfg.TotalSamples = equivWorldSamples()
-		scfg := DefaultStudyConfig(11)
+		scfg := Defaults(11)
 		scfg.Analysis.ProbeRounds = 6
 		scfg.Windows.Live = 26 * time.Hour
 		scfg.Determinism.Workers = workers
@@ -203,7 +203,7 @@ func TestStudyCancellationLeaksNoGoroutines(t *testing.T) {
 	wcfg := world.DefaultConfig(5)
 	wcfg.TotalSamples = equivWorldSamples()
 	w := world.Generate(wcfg)
-	scfg := DefaultStudyConfig(5)
+	scfg := Defaults(5)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = 8
 
@@ -261,7 +261,7 @@ func TestCheckpointFailureStopsLookahead(t *testing.T) {
 	wcfg := world.DefaultConfig(5)
 	wcfg.TotalSamples = equivWorldSamples()
 	w := world.Generate(wcfg)
-	scfg := DefaultStudyConfig(5)
+	scfg := Defaults(5)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = 8
 	scfg.Durability.Dir = t.TempDir()
@@ -320,7 +320,7 @@ func BenchmarkExecutorWorkers(b *testing.B) {
 				wcfg := world.DefaultConfig(7)
 				wcfg.TotalSamples = 300
 				w := world.Generate(wcfg)
-				scfg := DefaultStudyConfig(7)
+				scfg := Defaults(7)
 				scfg.Analysis.ProbeRounds = 6
 				scfg.Determinism.Workers = workers
 				b.StartTimer()

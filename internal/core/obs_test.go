@@ -18,7 +18,7 @@ func obsStudy(t *testing.T, seed int64, workers int) (*Study, string, string) {
 	t.Helper()
 	wcfg := world.DefaultConfig(seed)
 	wcfg.TotalSamples = equivWorldSamples()
-	scfg := DefaultStudyConfig(seed)
+	scfg := Defaults(seed)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = workers
 	scfg.Determinism.Faults = true

@@ -15,7 +15,7 @@ import (
 
 // ruleStudy builds a minimal hand-rolled study for rule generation.
 func ruleStudy() *Study {
-	st := &Study{Cfg: DefaultStudyConfig(1), C2s: map[string]*C2Record{}}
+	st := &Study{Cfg: Defaults(1), C2s: map[string]*C2Record{}}
 	st.C2s["60.0.0.9:23"] = &C2Record{
 		Address: "60.0.0.9:23", Kind: intel.KindIP,
 		IP: netip.MustParseAddr("60.0.0.9"), Port: 23,

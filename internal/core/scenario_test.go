@@ -28,7 +28,7 @@ func scenWorldConfig(seed int64) world.Config {
 
 func scenStudy(t *testing.T, seed int64, workers int) *Study {
 	t.Helper()
-	scfg := DefaultStudyConfig(seed)
+	scfg := Defaults(seed)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = workers
 	st, err := RunStudyContext(context.Background(), world.Generate(scenWorldConfig(seed)), scfg)

@@ -171,9 +171,6 @@ func Defaults(seed int64) StudyConfig {
 	}
 }
 
-// DefaultStudyConfig is Defaults under its historical name.
-func DefaultStudyConfig(seed int64) StudyConfig { return Defaults(seed) }
-
 // Validate checks the config for values no defaulting rule can
 // repair, and names every offending field (dotted-path into the
 // canonical serialization) in the error. A zero or defaulted config

@@ -25,7 +25,7 @@ func smallStudy(t *testing.T) *Study {
 	wcfg := world.DefaultConfig(7)
 	wcfg.TotalSamples = smallStudySamples()
 	w := world.Generate(wcfg)
-	scfg := DefaultStudyConfig(7)
+	scfg := Defaults(7)
 	scfg.Analysis.ProbeRounds = 12
 	return RunStudy(w, scfg)
 }

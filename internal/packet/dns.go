@@ -86,10 +86,15 @@ func encodeName(buf []byte, name string) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
+// maxNameLen is RFC 1035's limit on a name's wire length: its label
+// octets, their length octets and the terminating zero.
+const maxNameLen = 255
+
 func decodeName(data []byte, off int) (string, int, error) {
 	var sb strings.Builder
 	jumped := false
 	guard := 0
+	wire := 1 // the terminating zero
 	pos := off
 	end := off
 	for {
@@ -119,6 +124,9 @@ func decodeName(data []byte, off int) (string, int, error) {
 		default:
 			if pos+1+l > len(data) {
 				return "", 0, ErrDNSTruncated
+			}
+			if wire += 1 + l; wire > maxNameLen {
+				return "", 0, ErrDNSBadName
 			}
 			if sb.Len() > 0 {
 				sb.WriteByte('.')

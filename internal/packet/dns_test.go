@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"encoding/binary"
+	"errors"
 	"net/netip"
 	"strings"
 	"testing"
@@ -94,6 +96,56 @@ func TestDNSPointerLoopRejected(t *testing.T) {
 	msg = append(msg, 0xc0, 12, 0, 1, 0, 1)
 	if _, err := DecodeDNS(msg); err == nil {
 		t.Fatal("self-referential pointer decoded without error")
+	}
+}
+
+// chainedNameBomb is a 16,169-byte message of 2,000 six-byte
+// questions, each pointing at the tail of a chain of 63 labels of 63
+// bytes that links every label to the one before it: without a limit
+// on the name's length each question decodes to a 4,031-byte name.
+func chainedNameBomb() []byte {
+	const questions = 2000
+	msg := make([]byte, 12+6*questions, 16169)
+	binary.BigEndian.PutUint16(msg[4:], questions)
+	tail := 0
+	for i := 0; i < 63; i++ {
+		at := len(msg)
+		msg = append(msg, 63)
+		msg = append(msg, strings.Repeat("x", 63)...)
+		if i == 0 {
+			msg = append(msg, 0)
+		} else {
+			msg = append(msg, 0xc0|byte(tail>>8), byte(tail))
+		}
+		tail = at
+	}
+	for q := 12; q < 12+6*questions; q += 6 {
+		copy(msg[q:], []byte{0xc0 | byte(tail>>8), byte(tail), 0, 1, 0, 1})
+	}
+	return msg
+}
+
+func TestDNSNameOverWireLimitRejected(t *testing.T) {
+	if _, err := DecodeDNS(chainedNameBomb()); !errors.Is(err, ErrDNSBadName) {
+		t.Fatalf("pointer-chained 4,031-byte names: err = %v, want ErrDNSBadName", err)
+	}
+	// RFC 1035 counts a name's label octets, their length octets and
+	// the terminating zero: 255 decodes, 256 does not.
+	long := strings.Repeat(strings.Repeat("x", 63)+".", 3)
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{long + strings.Repeat("x", 61), nil},
+		{long + strings.Repeat("x", 62), ErrDNSBadName},
+	} {
+		wire, err := NewDNSQuery(1, tc.name).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeDNS(wire); !errors.Is(err, tc.err) {
+			t.Fatalf("%d-byte name: err = %v, want %v", len(tc.name), err, tc.err)
+		}
 	}
 }
 

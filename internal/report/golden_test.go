@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func TestGoldenFaultedStudy(t *testing.T) {
 	wcfg := world.DefaultConfig(7)
 	wcfg.TotalSamples = 60
-	scfg := core.DefaultStudyConfig(7)
+	scfg := core.Defaults(7)
 	scfg.Analysis.ProbeRounds = 2
 	scfg.Determinism.Workers = 2
 	scfg.Determinism.Faults = true
@@ -81,7 +81,7 @@ func TestGoldenFaultedStudy(t *testing.T) {
 func TestGoldenMetricsSection(t *testing.T) {
 	wcfg := world.DefaultConfig(7)
 	wcfg.TotalSamples = 60
-	scfg := core.DefaultStudyConfig(7)
+	scfg := core.Defaults(7)
 	scfg.Analysis.ProbeRounds = 2
 	scfg.Determinism.Workers = 4
 	scfg.Determinism.Faults = true

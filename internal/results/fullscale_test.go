@@ -37,7 +37,7 @@ func TestFullScaleStudy(t *testing.T) {
 		t.Skip("short mode")
 	}
 	w := world.Generate(world.DefaultConfig(42))
-	st := core.RunStudy(w, core.DefaultStudyConfig(42))
+	st := core.RunStudy(w, core.Defaults(42))
 
 	if got := studyDigest(t, st); got != fullScaleDigest {
 		t.Errorf("study digest = %s, want %s", got, fullScaleDigest)
@@ -123,7 +123,7 @@ func TestShortStudyVariantDigests(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			wcfg := world.DefaultConfig(42)
 			wcfg.TotalSamples = 150
-			scfg := core.DefaultStudyConfig(42)
+			scfg := core.Defaults(42)
 			scfg.Analysis.ProbeRounds = 12
 			scfg.Determinism.Workers = 2
 			tc.set(&scfg)

@@ -22,7 +22,7 @@ func study(t *testing.T) *core.Study {
 		wcfg := world.DefaultConfig(11)
 		wcfg.TotalSamples = 400
 		w := world.Generate(wcfg)
-		scfg := core.DefaultStudyConfig(11)
+		scfg := core.Defaults(11)
 		scfg.Analysis.ProbeRounds = 12
 		stVal = core.RunStudy(w, scfg)
 	})

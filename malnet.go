@@ -43,7 +43,7 @@ type Study = core.Study
 type StudyConfig = core.StudyConfig
 
 // DefaultStudyConfig returns the paper's pipeline settings.
-func DefaultStudyConfig(seed int64) StudyConfig { return core.DefaultStudyConfig(seed) }
+func DefaultStudyConfig(seed int64) StudyConfig { return core.Defaults(seed) }
 
 // RunStudy executes the year-long pipeline against a world.
 func RunStudy(w *World, cfg StudyConfig) *Study { return core.RunStudy(w, cfg) }

@@ -66,9 +66,9 @@ func RenderFigure(st *Study, n int) (string, error) {
 }
 
 // RenderHeadlines prints the scalar findings with paper values
-// alongside.
+// alongside, then the detection-quality panel.
 func RenderHeadlines(st *Study) string {
-	return results.NewHeadlines(st).Render() + results.NewDetectionQuality(st).Render()
+	return results.NewHeadlines(st).Render() + "\n" + results.NewDetectionQuality(st).Render()
 }
 
 // RenderAll prints every table, every figure, the headlines and the
