@@ -24,6 +24,7 @@ import (
 	"malnet/internal/c2"
 	"malnet/internal/intel"
 	"malnet/internal/sandbox"
+	"malnet/internal/simnet"
 )
 
 // C2Candidate is one C2 endpoint the traffic classifier attributes
@@ -83,30 +84,38 @@ func DetectC2(rep *sandbox.Report, minAttempts int) []C2Candidate {
 	}
 	type agg struct {
 		cand  C2Candidate
+		name  string
 		first []byte
 	}
-	byEndpoint := map[string]*agg{}
+	// An endpoint is a name and port, or an address when no name was
+	// looked up. Names never parse as IP literals (the bot dials a
+	// literal without a lookup), so the two kinds never meet on one
+	// Address.
+	type endpoint struct {
+		name string
+		addr simnet.Addr
+	}
+	byEndpoint := map[endpoint]*agg{}
 	for _, d := range rep.Dials {
 		// Group by what the sample *requested* — redirection and
 		// InetSim routing must not change the attribution. Dials
 		// preceded by a DNS lookup are attributed to the looked-up
 		// name (the sandbox records it per dial, since in isolated
 		// mode every name resolves to the same fake address).
-		key := d.Requested.String()
-		host := d.Requested.IP.String()
-		kind := intel.KindIP
+		key := endpoint{addr: d.Requested}
 		if d.Name != "" {
-			host = d.Name
-			kind = intel.KindDNS
-			key = d.Name + ":" + strconv.Itoa(int(d.Requested.Port))
+			key = endpoint{name: d.Name, addr: simnet.Addr{Port: d.Requested.Port}}
 		}
 		a := byEndpoint[key]
 		if a == nil {
-			a = &agg{cand: C2Candidate{
-				Address: host + ":" + strconv.Itoa(int(d.Requested.Port)),
-				Kind:    kind,
-				IP:      d.Requested.IP,
-				Port:    d.Requested.Port,
+			kind := intel.KindIP
+			if d.Name != "" {
+				kind = intel.KindDNS
+			}
+			a = &agg{name: d.Name, cand: C2Candidate{
+				Kind: kind,
+				IP:   d.Requested.IP,
+				Port: d.Requested.Port,
 			}}
 			byEndpoint[key] = a
 		}
@@ -130,6 +139,13 @@ func DetectC2(rep *sandbox.Report, minAttempts int) []C2Candidate {
 		if a.cand.Signature == "" && a.cand.Attempts < minAttempts {
 			continue // one-shot connection without protocol match
 		}
+		// Rendered only for a kept endpoint: most are one-shot scan
+		// targets.
+		host := a.name
+		if host == "" {
+			host = a.cand.IP.String()
+		}
+		a.cand.Address = host + ":" + strconv.Itoa(int(a.cand.Port))
 		out = append(out, a.cand)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Address < out[j].Address })

@@ -392,12 +392,15 @@ func (st *Study) analyzeStatic(sh *shard, out *sampleOutcome) {
 	// Isolated run: C2 detection and exploit capture. The stage span
 	// is anchored to the shard clock, which mirrors the world clock's
 	// batch anchor, so its bounds are worker-count-independent.
+	// Nothing reads this run's packet capture: C2 detection and
+	// exploit classification read its dials and trap catches.
 	iso := sp.Child("stage.isolated", out.at)
 	isoRep, err := sh.run(out.at, raw, sandbox.RunOptions{
 		Mode:                sandbox.ModeIsolated,
 		Duration:            st.Cfg.Windows.Sandbox,
 		HandshakerThreshold: st.Cfg.Analysis.HandshakerThreshold,
 		EventBudget:         st.Cfg.Determinism.EventBudget,
+		NoCapture:           true,
 	}, out.obs)
 	if err != nil {
 		reg.Counter("sandbox.parse_failures").Inc()

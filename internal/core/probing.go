@@ -246,13 +246,17 @@ func ScheduleProbing(n *simnet.Network, cfg ProbeConfig) *ProbeStudy {
 			// per probe or per received segment.
 			pr := &probeRound{prober: pb, index: round, handshake: c2.ProbeHandshake(cfg.Family)}
 			pr.proto, _ = c2.Lookup(cfg.Family)
+			var hosts []netip.Addr
 			for _, subnet := range cfg.Subnets {
-				for _, ip := range subnet.Hosts() {
-					for _, port := range cfg.Ports {
-						p := &probe{probeRound: pr, addr: simnet.Addr{IP: ip, Port: port}}
-						p.try(0)
-					}
-				}
+				hosts = append(hosts, subnet.Hosts()...)
+			}
+			// One slice for the round's probes, never grown: the clock
+			// and the conns hold pointers into it.
+			probes := make([]probe, len(hosts)*len(cfg.Ports))
+			for i := range probes {
+				p := &probes[i]
+				*p = probe{probeRound: pr, addr: simnet.Addr{IP: hosts[i/len(cfg.Ports)], Port: cfg.Ports[i%len(cfg.Ports)]}}
+				p.try(0)
 			}
 		})
 	}
@@ -307,12 +311,23 @@ func (pr *probeRound) engages(b []byte) bool {
 }
 
 // probe is one endpoint's probe in one round. Its verdict spans
-// every retry attempt.
+// every retry attempt. It is the handler of each attempt's conn and
+// of its own timers, which carry the attempt they belong to.
 type probe struct {
 	*probeRound
-	addr    simnet.Addr
-	engaged bool
+	addr      simnet.Addr
+	engaged   bool
+	attempt   int          // the current attempt; 0 is the first dial
+	conn      *simnet.Conn // the current attempt's conn
+	connected bool         // the current attempt connected
 }
+
+// Probe timer kinds, the low bit of a timer's argument; the attempt
+// is the rest.
+const (
+	probeEngageTimeout uint64 = iota
+	probeRetry
+)
 
 // record folds one verdict into the endpoint's history.
 func (p *probe) record(o ProbeOutcome, banner string) {
@@ -339,71 +354,74 @@ func (p *probe) try(attempt int) {
 		p.study.Retries++
 		p.mRetries.Inc()
 	}
-	p.host.DialTCP(p.addr, &probeAttempt{probe: p, attempt: attempt})
+	p.attempt, p.connected = attempt, false
+	p.conn = p.host.DialTCP(p.addr, p)
 }
 
-// probeAttempt is one dial of a probe; it is the connection's
-// handler.
-type probeAttempt struct {
-	*probe
-	attempt   int
-	connected bool
+// Fire runs a probe timer: an engagement timeout closes its attempt's
+// conn if that attempt is still current and established, and a retry
+// dials its attempt.
+func (p *probe) Fire(arg uint64) {
+	attempt := int(arg >> 1)
+	switch arg & 1 {
+	case probeEngageTimeout:
+		if attempt == p.attempt && p.conn.Established() {
+			p.conn.Close()
+		}
+	case probeRetry:
+		p.try(attempt)
+	}
 }
 
 // OnConnect sends the weaponized handshake and arms the engagement
 // timeout.
-func (a *probeAttempt) OnConnect(cn *simnet.Conn) {
-	a.connected = true
-	a.mAccepted.Inc()
-	for _, msg := range a.handshake {
+func (p *probe) OnConnect(cn *simnet.Conn) {
+	p.connected = true
+	p.mAccepted.Inc()
+	for _, msg := range p.handshake {
 		cn.Write(msg)
 	}
-	a.record(ProbeAcceptedSilent, "")
-	a.net.Clock.After(a.cfg.EngageTimeout, func() {
-		if cn.Established() {
-			cn.Close()
-		}
-	})
+	p.record(ProbeAcceptedSilent, "")
+	p.net.Clock.AfterCall(p.cfg.EngageTimeout, p, uint64(p.attempt)<<1|probeEngageTimeout)
 }
 
 // OnData classifies the peer's answer: a well-known banner excludes
 // the host, protocol engagement marks it live.
-func (a *probeAttempt) OnData(cn *simnet.Conn, b []byte) {
+func (p *probe) OnData(cn *simnet.Conn, b []byte) {
 	if c2.WellKnownBanner(b) {
-		a.mBanners.Inc()
-		a.record(ProbeBanner, string(b[:min(len(b), 40)]))
+		p.mBanners.Inc()
+		p.record(ProbeBanner, string(b[:min(len(b), 40)]))
 		cn.Close()
 		return
 	}
-	if !a.engaged && a.engages(b) {
-		a.engaged = true
-		a.mEngaged.Inc()
-		a.record(ProbeEngaged, "")
+	if !p.engaged && p.engages(b) {
+		p.engaged = true
+		p.mEngaged.Inc()
+		p.record(ProbeEngaged, "")
 		cn.Close()
 	}
 }
 
 // OnClose scores a reset as a live host and schedules a retry after a
 // transient failure, within the per-probe budget.
-func (a *probeAttempt) OnClose(cn *simnet.Conn, err error) {
-	if err == nil || a.engaged {
+func (p *probe) OnClose(cn *simnet.Conn, err error) {
+	if err == nil || p.engaged {
 		return
 	}
-	if a.connected && c2.AliveOnReset(err) {
+	if p.connected && c2.AliveOnReset(err) {
 		// RST during the banner wait: something spoke TCP and hung
 		// up on us — alive but rude, not dead air.
-		a.record(ProbeAcceptedSilent, "")
+		p.record(ProbeAcceptedSilent, "")
 	}
 	// Under a flaky network a timeout or reset is worth re-dialing,
 	// within the per-probe budget.
-	if a.attempt < a.cfg.Retries && c2.TransientProbeError(err) {
+	if p.attempt < p.cfg.Retries && c2.TransientProbeError(err) {
 		bo := c2.Backoff{
-			Base: a.cfg.RetryBase, Cap: a.cfg.RetryCap,
-			Seed: a.cfg.Seed, Key: a.addr.String() + "#" + strconv.Itoa(a.index),
+			Base: p.cfg.RetryBase, Cap: p.cfg.RetryCap,
+			Seed: p.cfg.Seed, Key: p.addr.String() + "#" + strconv.Itoa(p.index),
 		}
-		delay := bo.Delay(a.attempt)
-		a.mBackoffNs.Add(int64(delay))
-		p, next := a.probe, a.attempt+1
-		a.net.Clock.After(delay, func() { p.try(next) })
+		delay := bo.Delay(p.attempt)
+		p.mBackoffNs.Add(int64(delay))
+		p.net.Clock.AfterCall(delay, p, uint64(p.attempt+1)<<1|probeRetry)
 	}
 }

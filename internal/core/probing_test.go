@@ -229,3 +229,46 @@ func TestProbingRetriesRecoverUnderFaults(t *testing.T) {
 		t.Fatalf("retry-less study counted %d retries", bare.Retries)
 	}
 }
+
+// TestProbeStaleEngageTimeoutSparesRetry: a probe's first attempt
+// connects and is reset, and its retry connects before the first
+// attempt's engagement timeout fires. That stale timeout must leave
+// the retry's conn alone; the retry's own timeout closes it.
+func TestProbeStaleEngageTimeoutSparesRetry(t *testing.T) {
+	clock := simclock.New(t0)
+	n := simnet.New(clock, simnet.DefaultConfig())
+	target := simnet.AddrFrom("203.0.113.5", 1312)
+	var opened, closed []time.Time
+	n.AddHost(target.IP).ListenTCP(target.Port, func(_, _ simnet.Addr) simnet.ConnHandler {
+		i := len(opened)
+		opened = append(opened, clock.Now())
+		closed = append(closed, time.Time{})
+		return simnet.ConnFuncs{
+			Connect: func(c *simnet.Conn) {
+				if i == 0 {
+					clock.After(time.Second, c.Abort)
+				}
+			},
+			Close: func(*simnet.Conn, error) { closed[i] = clock.Now() },
+		}
+	})
+	const engage = 90 * time.Second
+	study := RunProbing(n, ProbeConfig{
+		Subnets:       []simnet.Subnet{simnet.SubnetFrom("203.0.113.5/32")},
+		Ports:         []uint16{target.Port},
+		Rounds:        1,
+		EngageTimeout: engage,
+		Family:        c2.FamilyMirai,
+		Retries:       1,
+		Seed:          1,
+	})
+	if study.Retries != 1 || len(opened) != 2 {
+		t.Fatalf("%d retries and %d accepted conns, want 1 and 2", study.Retries, len(opened))
+	}
+	if !opened[1].Before(opened[0].Add(engage)) {
+		t.Fatalf("retry connected at +%v, after the first attempt's timeout at +%v", opened[1].Sub(t0), opened[0].Add(engage).Sub(t0))
+	}
+	if closed[1].Sub(opened[1]) < engage {
+		t.Fatalf("retry's conn closed %v after it opened, before its own %v engagement timeout", closed[1].Sub(opened[1]), engage)
+	}
+}

@@ -71,14 +71,21 @@ func (q *DNSMessage) Answer(addr netip.Addr, ttl uint32) *DNSMessage {
 	return resp
 }
 
+// encodeName appends name in wire form. It refuses what decodeName
+// would: an empty label, a label over 63 octets, or a name over
+// maxNameLen wire octets.
 func encodeName(buf []byte, name string) ([]byte, error) {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
 		return append(buf, 0), nil
 	}
+	wire := 1 // the terminating zero
 	for _, label := range strings.Split(name, ".") {
 		if len(label) == 0 || len(label) > 63 {
 			return nil, fmt.Errorf("%w: label %q", ErrDNSBadName, label)
+		}
+		if wire += 1 + len(label); wire > maxNameLen {
+			return nil, fmt.Errorf("%w: name over %d wire octets", ErrDNSBadName, maxNameLen)
 		}
 		buf = append(buf, byte(len(label)))
 		buf = append(buf, label...)
@@ -121,6 +128,10 @@ func decodeName(data []byte, off int) (string, int, error) {
 			}
 			jumped = true
 			pos = ptr
+		case l&0xc0 != 0:
+			// 0x40–0xBF: the two label types RFC 1035 §4.1.4
+			// reserves. A plain label is at most 63 octets.
+			return "", 0, ErrDNSBadName
 		default:
 			if pos+1+l > len(data) {
 				return "", 0, ErrDNSTruncated

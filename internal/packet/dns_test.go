@@ -130,7 +130,8 @@ func TestDNSNameOverWireLimitRejected(t *testing.T) {
 		t.Fatalf("pointer-chained 4,031-byte names: err = %v, want ErrDNSBadName", err)
 	}
 	// RFC 1035 counts a name's label octets, their length octets and
-	// the terminating zero: 255 decodes, 256 does not.
+	// the terminating zero: 255 decodes and encodes, 256 does neither.
+	// The wire is built by hand, since Encode refuses the long name.
 	long := strings.Repeat(strings.Repeat("x", 63)+".", 3)
 	for _, tc := range []struct {
 		name string
@@ -139,12 +140,39 @@ func TestDNSNameOverWireLimitRejected(t *testing.T) {
 		{long + strings.Repeat("x", 61), nil},
 		{long + strings.Repeat("x", 62), ErrDNSBadName},
 	} {
-		wire, err := NewDNSQuery(1, tc.name).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wire := queryWire(strings.Split(tc.name, ".")...)
 		if _, err := DecodeDNS(wire); !errors.Is(err, tc.err) {
-			t.Fatalf("%d-byte name: err = %v, want %v", len(tc.name), err, tc.err)
+			t.Fatalf("%d-byte name: decode err = %v, want %v", len(tc.name), err, tc.err)
+		}
+		encoded, err := NewDNSQuery(1, tc.name).Encode()
+		if !errors.Is(err, tc.err) {
+			t.Fatalf("%d-byte name: encode err = %v, want %v", len(tc.name), err, tc.err)
+		}
+		if err == nil && string(encoded) != string(wire) {
+			t.Fatalf("%d-byte name: Encode wrote %x, want %x", len(tc.name), encoded, wire)
+		}
+	}
+}
+
+// queryWire builds, without Encode, the query Encode writes for ID 1
+// and one A/IN question with the given labels, each written with its
+// length octet as is.
+func queryWire(labels ...string) []byte {
+	msg := []byte{0, 1, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	for _, l := range labels {
+		msg = append(msg, byte(len(l)))
+		msg = append(msg, l...)
+	}
+	return append(msg, 0, 0, 1, 0, 1)
+}
+
+// TestDNSReservedLabelTypeRejected: a length octet of 0x40–0xBF is one
+// of RFC 1035's two reserved label types, not a label of that many
+// bytes; Encode never writes a label over 63.
+func TestDNSReservedLabelTypeRejected(t *testing.T) {
+	for _, n := range []int{0x40, 100, 0xbf} {
+		if m, err := DecodeDNS(queryWire(strings.Repeat("x", n))); !errors.Is(err, ErrDNSBadName) {
+			t.Fatalf("%d-byte label: decoded %+v, err %v; want ErrDNSBadName", n, m, err)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (sb *Sandbox) resolve(name string) (netip.Addr, bool) {
 	if !ok {
 		resp = q.Answer(netip.Addr{}, 0)
 	}
-	if wire, err := resp.Encode(); err == nil {
+	if wire, err := resp.Encode(); err == nil && !rs.opts.NoCapture {
 		rs.report.Capture = append(rs.report.Capture, simnet.PacketRecord{
 			Time:  sb.clock.Now(),
 			Src:   simnet.Addr{IP: sb.cfg.DNSServer, Port: 53},
@@ -95,7 +95,8 @@ func (sb *Sandbox) dial(to simnet.Addr, h simnet.ConnHandler) *simnet.Conn {
 	if rs == nil {
 		return sb.host.DialTCP(to, h)
 	}
-	rec := &DialRecord{Time: sb.clock.Now(), Requested: to, Actual: to}
+	md := &mitmDial{DialRecord: DialRecord{Time: sb.clock.Now(), Requested: to, Actual: to}, bot: h}
+	rec := &md.DialRecord
 	rec.Name = rs.lastName[to.IP]
 	rs.report.Dials = append(rs.report.Dials, rec)
 
@@ -114,29 +115,37 @@ func (sb *Sandbox) dial(to simnet.Addr, h simnet.ConnHandler) *simnet.Conn {
 		rec.Actual = sb.handshakerRoute(to)
 	}
 
-	wrapped := simnet.ConnFuncs{
-		Connect: func(c *simnet.Conn) {
-			rec.Established = true
-			h.OnConnect(c)
-		},
-		Data: func(c *simnet.Conn, b []byte) {
-			if rec.FirstIn == nil {
-				rec.FirstIn = append([]byte{}, b...)
-			}
-			rec.BytesIn += len(b)
-			h.OnData(c, b)
-		},
-		Close: func(c *simnet.Conn, err error) {
-			rec.Err = err
-			h.OnClose(c, err)
-		},
-	}
-	conn := sb.host.DialTCP(rec.Actual, wrapped)
+	conn := sb.host.DialTCP(rec.Actual, md)
 	rec.Local = conn.LocalAddr()
 	// The run tap fills FirstOut/BytesOut from outbound payloads
 	// keyed by this flow.
 	rs.dialFlow[flowKey{rec.Local, rec.Actual}] = rec
 	return conn
+}
+
+// mitmDial is one MITM'd dial: the record the report keeps, and the
+// bot's handler, which it calls after recording each event.
+type mitmDial struct {
+	DialRecord
+	bot simnet.ConnHandler
+}
+
+func (d *mitmDial) OnConnect(c *simnet.Conn) {
+	d.Established = true
+	d.bot.OnConnect(c)
+}
+
+func (d *mitmDial) OnData(c *simnet.Conn, b []byte) {
+	if d.FirstIn == nil {
+		d.FirstIn = append([]byte{}, b...)
+	}
+	d.BytesIn += len(b)
+	d.bot.OnData(c, b)
+}
+
+func (d *mitmDial) OnClose(c *simnet.Conn, err error) {
+	d.Err = err
+	d.bot.OnClose(c, err)
 }
 
 // handshakerRoute counts scan targets per port and, past the
@@ -168,23 +177,36 @@ func (sb *Sandbox) handshakerRoute(to simnet.Addr) simnet.Addr {
 func (sb *Sandbox) armTrap(port uint16, distinct int) {
 	rs := sb.run
 	sb.trap.ListenTCP(port, func(local, remote simnet.Addr) simnet.ConnHandler {
-		got := false
-		return simnet.ConnFuncs{
-			Data: func(c *simnet.Conn, b []byte) {
-				if got || rs == nil {
-					return
-				}
-				got = true
-				rs.report.Exploits = append(rs.report.Exploits, CapturedExploit{
-					Time:        sb.clock.Now(),
-					Port:        port,
-					Payload:     append([]byte{}, b...),
-					DistinctIPs: distinct,
-				})
-			},
-		}
+		return &trapConn{sb: sb, rs: rs, port: port, distinct: distinct}
 	})
 }
+
+// trapConn is one connection to a fake victim: it keeps the first
+// payload as a captured exploit.
+type trapConn struct {
+	sb       *Sandbox
+	rs       *runState
+	port     uint16
+	distinct int
+	got      bool
+}
+
+func (t *trapConn) OnConnect(*simnet.Conn) {}
+
+func (t *trapConn) OnData(c *simnet.Conn, b []byte) {
+	if t.got || t.rs == nil {
+		return
+	}
+	t.got = true
+	t.rs.report.Exploits = append(t.rs.report.Exploits, CapturedExploit{
+		Time:        t.sb.clock.Now(),
+		Port:        t.port,
+		Payload:     append([]byte{}, b...),
+		DistinctIPs: t.distinct,
+	})
+}
+
+func (t *trapConn) OnClose(*simnet.Conn, error) {}
 
 // installInetSim arms the fake-Internet host's generic services: a
 // catch-all HTTP responder on common web ports; other ports are

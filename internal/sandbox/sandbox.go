@@ -73,6 +73,11 @@ type RunOptions struct {
 	// declared hung, aborted, and reported with TimedOut set. 0
 	// disables the watchdog (unbounded, the historical behavior).
 	EventBudget int
+	// NoCapture leaves Report.Capture empty, for a caller that never
+	// reads it. Everything else in the report is unchanged: the tap
+	// still fills each dial's FirstOut and BytesOut, and the run
+	// fires the same events.
+	NoCapture bool
 }
 
 // DialRecord is one outbound TCP connection attempt observed by the
@@ -299,7 +304,9 @@ func (sb *Sandbox) Run(raw []byte, opts RunOptions) (*Report, error) {
 	}
 
 	tap := simnet.TapFunc(func(rec simnet.PacketRecord, outbound bool) {
-		report.Capture = append(report.Capture, rec)
+		if !opts.NoCapture {
+			report.Capture = append(report.Capture, rec)
+		}
 		if outbound && rec.Proto == simnet.ProtoTCP && len(rec.Payload) > 0 {
 			if d := rs.dialFlow[flowKey{rec.Src, rec.Dst}]; d != nil {
 				if d.FirstOut == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,51 @@ func TestHandshakerCapturesExploit(t *testing.T) {
 	}
 	if !strings.Contains(string(ex.Payload), "t8UsA2.sh") {
 		t.Fatal("loader name missing from captured exploit")
+	}
+}
+
+// TestNoCaptureChangesOnlyCapture runs one sample twice with one
+// seed, with and without NoCapture: the option empties Capture and
+// leaves the dials, the trap catches and the event count as they were.
+func TestNoCaptureChangesOnlyCapture(t *testing.T) {
+	raw := encodeSample(t, binfmt.BotConfig{
+		Family: "gafgyt", Variant: "v1", C2Addrs: []string{"cnc.daddy.example:6667"},
+		ScanPorts:  []uint16{80, 23},
+		ExploitIDs: []string{"gpon-rce"},
+		LoaderName: "t8UsA2.sh", DownloaderAddr: "60.0.0.9:80",
+	}, 5)
+	run := func(noCapture bool) *Report {
+		n, _ := newEnv()
+		rep, err := New(n, Config{Seed: 1}).Run(raw, RunOptions{
+			Mode: ModeIsolated, Duration: 30 * time.Minute, HandshakerThreshold: 20,
+			NoCapture: noCapture,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	full, bare := run(false), run(true)
+	if len(full.Capture) == 0 || len(bare.Capture) != 0 {
+		t.Fatalf("capture holds %d records without NoCapture and %d with it; want some and none", len(full.Capture), len(bare.Capture))
+	}
+	sent := 0
+	for _, d := range full.Dials {
+		if d.BytesOut > 0 {
+			sent++
+		}
+	}
+	if sent == 0 || len(full.Exploits) == 0 || len(full.DNSQueries) == 0 {
+		t.Fatalf("run too quiet to compare: %d dials that sent, %d exploits, %d queries", sent, len(full.Exploits), len(full.DNSQueries))
+	}
+	if !reflect.DeepEqual(full.Dials, bare.Dials) {
+		t.Fatal("NoCapture changed the dials")
+	}
+	if !reflect.DeepEqual(full.Exploits, bare.Exploits) {
+		t.Fatal("NoCapture changed the exploits")
+	}
+	if full.EventsFired != bare.EventsFired {
+		t.Fatalf("NoCapture changed EventsFired: %d, want %d", bare.EventsFired, full.EventsFired)
 	}
 }
 

@@ -20,7 +20,10 @@
 //
 // Scheduling, cancelling and firing do not allocate once the clock
 // is warm: events live in a slab of slots recycled through a free
-// list, and the pending set is a binary min-heap of slot indices.
+// list, and the pending set is a binary min-heap of slot indices
+// that carry their own order keys. A hot caller schedules a Handler
+// with an argument instead of a closure, so its events allocate
+// nothing either.
 package simclock
 
 import (
@@ -37,12 +40,49 @@ import (
 // The zero EventID is never issued.
 type EventID uint64
 
+// Handler is the closure-free form of an event: Fire runs with the
+// argument the event was scheduled with. One handler value, typically
+// a pointer to the state the event acts on, serves many events that
+// differ only in their argument.
+type Handler interface {
+	Fire(arg uint64)
+}
+
+// funcHandler adapts a Schedule callback. A func value is
+// pointer-shaped, so converting one to a Handler does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire(uint64) { f() }
+
 // event is a single scheduled callback, stored by value in the slab.
 type event struct {
 	at  time.Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
+	h   Handler
+	arg uint64
 	pos int32 // index in Clock.heap; -1 while the slot is free
+}
+
+// entry is one pending event in the heap: its slab slot and a copy of
+// its order key, so sifting compares without touching the slab. The
+// key is (Unix seconds, nanoseconds, sequence), which orders exactly
+// as time.Time.Compare does; UnixNano would overflow outside
+// 1678–2262, and the zero Clock is at year 1.
+type entry struct {
+	sec  int64
+	seq  uint64
+	nsec int32
+	slot int32
+}
+
+func (a *entry) less(b *entry) bool {
+	if a.sec != b.sec {
+		return a.sec < b.sec
+	}
+	if a.nsec != b.nsec {
+		return a.nsec < b.nsec
+	}
+	return a.seq < b.seq
 }
 
 // Clock is a discrete-event virtual clock. It is not safe for
@@ -52,7 +92,7 @@ type Clock struct {
 	now     time.Time
 	slab    []event
 	free    []int32 // recycled slab slots
-	heap    []int32 // slab slots, min-heap ordered by (at, seq)
+	heap    []entry // min-heap ordered by (sec, nsec, seq)
 	nextSeq uint64
 	running bool
 }
@@ -72,6 +112,20 @@ func (c *Clock) Schedule(at time.Time, fn func()) EventID {
 	if fn == nil {
 		panic("simclock: Schedule with nil callback")
 	}
+	return c.ScheduleCall(at, funcHandler(fn), 0)
+}
+
+// After registers fn to run d from now. Negative d is treated as zero.
+func (c *Clock) After(d time.Duration, fn func()) EventID {
+	return c.Schedule(c.now.Add(d), fn)
+}
+
+// ScheduleCall registers h.Fire(arg) to run at time at. It orders and
+// cancels exactly like Schedule, which is ScheduleCall with a closure.
+func (c *Clock) ScheduleCall(at time.Time, h Handler, arg uint64) EventID {
+	if h == nil {
+		panic("simclock: ScheduleCall with nil handler")
+	}
 	if at.Before(c.now) {
 		at = c.now
 	}
@@ -84,15 +138,16 @@ func (c *Clock) Schedule(at time.Time, fn func()) EventID {
 		slot = int32(len(c.slab))
 		c.slab = append(c.slab, event{})
 	}
-	c.slab[slot] = event{at: at, seq: c.nextSeq, fn: fn}
-	c.heap = append(c.heap, slot)
+	c.slab[slot] = event{at: at, seq: c.nextSeq, h: h, arg: arg}
+	c.heap = append(c.heap, entry{sec: at.Unix(), nsec: int32(at.Nanosecond()), seq: c.nextSeq, slot: slot})
 	c.up(len(c.heap) - 1)
 	return EventID(c.nextSeq<<32 | uint64(slot+1))
 }
 
-// After registers fn to run d from now. Negative d is treated as zero.
-func (c *Clock) After(d time.Duration, fn func()) EventID {
-	return c.Schedule(c.now.Add(d), fn)
+// AfterCall registers h.Fire(arg) to run d from now. Negative d is
+// treated as zero.
+func (c *Clock) AfterCall(d time.Duration, h Handler, arg uint64) EventID {
+	return c.ScheduleCall(c.now.Add(d), h, arg)
 }
 
 // Cancel removes a scheduled event. It reports whether the event was
@@ -120,7 +175,7 @@ func (c *Clock) NextAt() (time.Time, bool) {
 	if len(c.heap) == 0 {
 		return time.Time{}, false
 	}
-	return c.slab[c.heap[0]].at, true
+	return c.slab[c.heap[0].slot].at, true
 }
 
 // Step fires the earliest pending event, advancing Now to its
@@ -130,20 +185,20 @@ func (c *Clock) Step() bool {
 		return false
 	}
 	slot := c.remove(0)
-	// Copy out before the call: fn may schedule, growing (and
-	// moving) the slab, and its slot is already free for reuse.
+	// Copy out before the call: the handler may schedule, growing
+	// (and moving) the slab, and its slot is already free for reuse.
 	e := &c.slab[slot]
-	at, fn := e.at, e.fn
+	at, h, arg := e.at, e.h, e.arg
 	c.release(slot)
 	c.now = at
-	fn()
+	h.Fire(arg)
 	return true
 }
 
 // due reports whether the earliest pending event is at or before
 // deadline.
 func (c *Clock) due(deadline time.Time) bool {
-	return len(c.heap) > 0 && !c.slab[c.heap[0]].at.After(deadline)
+	return len(c.heap) > 0 && !c.slab[c.heap[0].slot].at.After(deadline)
 }
 
 // RunUntil fires events in order until the queue is exhausted or the
@@ -230,71 +285,61 @@ func (c *Clock) Drain(limit int) int {
 }
 
 // release returns a slot, already out of the heap, to the free list.
-// The callback is dropped so the slab does not keep its captures
+// The handler is dropped so the slab does not keep what it references
 // alive.
 func (c *Clock) release(slot int32) {
 	e := &c.slab[slot]
-	e.fn = nil
+	e.h = nil
 	e.pos = -1
 	c.free = append(c.free, slot)
 }
 
-// less orders slots by (at, seq). Times compare exactly: UnixNano
-// would overflow outside 1678–2262, and the zero Clock is at year 1.
-func (c *Clock) less(a, b int32) bool {
-	ea, eb := &c.slab[a], &c.slab[b]
-	if r := ea.at.Compare(eb.at); r != 0 {
-		return r < 0
-	}
-	return ea.seq < eb.seq
+// place puts e at heap index i and records the index in its slot.
+func (c *Clock) place(i int, e entry) {
+	c.heap[i] = e
+	c.slab[e.slot].pos = int32(i)
 }
 
-// place puts slot at heap index i and records the index in the slot.
-func (c *Clock) place(i int, slot int32) {
-	c.heap[i] = slot
-	c.slab[slot].pos = int32(i)
-}
-
-// up sifts the slot at heap index i toward the root.
+// up sifts the entry at heap index i toward the root.
 func (c *Clock) up(i int) {
-	slot := c.heap[i]
+	e := c.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !c.less(slot, c.heap[parent]) {
+		if !e.less(&c.heap[parent]) {
 			break
 		}
 		c.place(i, c.heap[parent])
 		i = parent
 	}
-	c.place(i, slot)
+	c.place(i, e)
 }
 
-// down sifts the slot at heap index i toward the leaves and reports
+// down sifts the entry at heap index i toward the leaves and reports
 // whether it moved.
 func (c *Clock) down(i int) bool {
-	start, slot, n := i, c.heap[i], len(c.heap)
+	start, e, n := i, c.heap[i], len(c.heap)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && c.less(c.heap[r], c.heap[child]) {
+		if r := child + 1; r < n && c.heap[r].less(&c.heap[child]) {
 			child = r
 		}
-		if !c.less(c.heap[child], slot) {
+		if !c.heap[child].less(&e) {
 			break
 		}
 		c.place(i, c.heap[child])
 		i = child
 	}
-	c.place(i, slot)
+	c.place(i, e)
 	return i > start
 }
 
-// remove takes the slot at heap index i out of the heap, restores
-// the heap order, and returns the slot.
+// remove takes the entry at heap index i out of the heap, restores
+// the heap order, and returns its slot.
 func (c *Clock) remove(i int) int32 {
-	slot := c.heap[i]
+	slot := c.heap[i].slot
 	last := len(c.heap) - 1
 	if i != last {
 		c.place(i, c.heap[last])

@@ -159,13 +159,19 @@ func TestDrainLimitPanicsOnRunaway(t *testing.T) {
 }
 
 func TestScheduleNilPanics(t *testing.T) {
-	c := New(t0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule(nil) did not panic")
-		}
-	}()
-	c.Schedule(t0, nil)
+	for name, schedule := range map[string]func(c *Clock){
+		"Schedule(nil)":     func(c *Clock) { c.Schedule(t0, nil) },
+		"ScheduleCall(nil)": func(c *Clock) { c.ScheduleCall(t0, nil, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			schedule(New(t0))
+		}()
+	}
 }
 
 // Property: for any set of non-negative offsets, events fire in
@@ -479,17 +485,25 @@ func childDelay(label int) (time.Duration, bool) {
 	return time.Duration(label%3) * time.Hour, label%4 == 0
 }
 
+// labelHandler is a pointer handler that hands its event's argument
+// to fire as the label.
+type labelHandler struct{ fire func(label int) }
+
+func (h *labelHandler) Fire(arg uint64) { h.fire(int(arg)) }
+
 // TestClockMatchesReference drives the clock and the sorted-list
 // oracle through the same random interleaving of Schedule, Cancel,
 // Step, RunUntil and RunBudget, starting from the zero Clock (year 1)
 // and jumping to 2021 and year 3000. Year 1 and 3000 lie outside
 // UnixNano's 1678–2262 range, where an ordering by UnixNano puts 3000
 // before 2021. Timestamps come from a small set so ties exercise the
-// sequence order.
+// sequence order, and half of them fall mid-second so the nanoseconds
+// take part. About half the events go through ScheduleCall,
+// interleaved with closures, so both forms share one order.
 func TestClockMatchesReference(t *testing.T) {
 	bases := []time.Time{{}, t0, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)}
 	instant := func(rng *rand.Rand) time.Time {
-		return bases[rng.Intn(len(bases))].Add(time.Duration(rng.Intn(6)) * time.Hour)
+		return bases[rng.Intn(len(bases))].Add(time.Duration(rng.Intn(6))*time.Hour + time.Duration(rng.Intn(2))*time.Second/2)
 	}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -498,14 +512,20 @@ func TestClockMatchesReference(t *testing.T) {
 		var fired []int
 		var ids []EventID // by label
 		var schedule func(at time.Time)
+		onFire := func(label int) {
+			fired = append(fired, label)
+			if d, ok := childDelay(label); ok {
+				schedule(c.Now().Add(d))
+			}
+		}
+		h := &labelHandler{fire: onFire}
 		schedule = func(at time.Time) {
 			label := len(ids)
-			ids = append(ids, c.Schedule(at, func() {
-				fired = append(fired, label)
-				if d, ok := childDelay(label); ok {
-					schedule(c.Now().Add(d))
-				}
-			}))
+			if label/3%2 == 0 {
+				ids = append(ids, c.ScheduleCall(at, h, uint64(label)))
+				return
+			}
+			ids = append(ids, c.Schedule(at, func() { onFire(label) }))
 		}
 		for op := 0; op < 400; op++ {
 			switch k := rng.Intn(10); {
@@ -560,13 +580,20 @@ func TestClockMatchesReference(t *testing.T) {
 	}
 }
 
+// countHandler is a pointer handler that sums its arguments.
+type countHandler struct{ sum uint64 }
+
+func (h *countHandler) Fire(arg uint64) { h.sum += arg }
+
 // TestScheduleStepAllocFree: a warm clock schedules and fires without
-// allocating.
+// allocating, through a closure and through a pointer handler.
 func TestScheduleStepAllocFree(t *testing.T) {
 	c := New(t0)
 	fn := func() {}
+	h := &countHandler{}
 	for i := 0; i < 64; i++ {
 		c.After(time.Duration(i)*time.Second, fn)
+		c.AfterCall(time.Duration(i)*time.Second, h, 1)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		id := c.After(time.Minute, fn)
@@ -576,6 +603,15 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Schedule/Cancel/Step allocated %.1f times per run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		id := c.AfterCall(time.Minute, h, 2)
+		c.AfterCall(30*time.Second, h, 1)
+		c.Cancel(id)
+		c.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("ScheduleCall/Cancel/Step allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -591,6 +627,22 @@ func BenchmarkClockScheduleStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.After(time.Duration(i%1024)*time.Second, fn)
+		c.Step()
+	}
+}
+
+// BenchmarkClockScheduleCallStep is BenchmarkClockScheduleStep with
+// a pointer handler in place of the closure.
+func BenchmarkClockScheduleCallStep(b *testing.B) {
+	c := New(t0)
+	h := &countHandler{}
+	for i := 0; i < 1024; i++ {
+		c.AfterCall(time.Duration(i)*time.Second, h, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AfterCall(time.Duration(i%1024)*time.Second, h, 1)
 		c.Step()
 	}
 }

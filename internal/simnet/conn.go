@@ -117,7 +117,7 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		// Containment drop: the SYN is recorded at the host tap
 		// but never leaves, so the dialer sees a plain timeout.
 		n.recordLocal(syn)
-		n.Clock.After(n.cfg.SYNTimeout, func() { c.fail(ErrTimeout) })
+		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
 	n.record(syn)
@@ -131,9 +131,8 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		n.m.slowDrips.Inc()
 		n.faultEvent("fault.slow_drip", fSrc, fDst)
 	}
-	rtt := 2 * (n.Latency(h.IP, to.IP) + c.faults.ExtraLatency)
 	if dst == nil || !dst.Online {
-		n.Clock.After(n.cfg.SYNTimeout, func() { c.fail(ErrTimeout) })
+		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
 	if n.darkAt(to.IP, now) {
@@ -141,7 +140,7 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		// moment — indistinguishable from offline to the dialer.
 		n.m.blackouts.Inc()
 		n.faultEvent("fault.blackout", fSrc, fDst)
-		n.Clock.After(n.cfg.SYNTimeout, func() { c.fail(ErrTimeout) })
+		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
 	if c.faults.DropSYN {
@@ -149,9 +148,10 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		// the network ate it.
 		n.m.synsDropped.Inc()
 		n.faultEvent("fault.syn_drop", fSrc, fDst)
-		n.Clock.After(n.cfg.SYNTimeout, func() { c.fail(ErrTimeout) })
+		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
+	rtt := 2 * (n.Latency(h.IP, to.IP) + c.faults.ExtraLatency)
 	acceptor, listening := dst.tcpListeners[to.Port]
 	if !listening {
 		// RST comes back after one round trip.
@@ -159,49 +159,107 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 			Time: now.Add(n.Latency(h.IP, to.IP)), Src: to, Dst: c.local,
 			Proto: ProtoTCP, Flags: FlagRST | FlagACK, Size: tcpHeaderBytes, Count: 1,
 		})
-		n.Clock.After(rtt, func() { c.fail(ErrRefused) })
+		c.after(rtt, connRefused)
 		return c
 	}
-	n.Clock.After(rtt, func() {
-		if c.state != stateConnecting {
-			return
-		}
-		if !dst.Online {
-			// Host went dark mid-handshake.
-			c.fail(ErrTimeout)
-			return
-		}
-		serverHandler := acceptor(to, c.local)
-		if serverHandler == nil {
-			c.fail(ErrRefused)
-			return
-		}
-		n.record(PacketRecord{
-			Time: n.Clock.Now(), Src: to, Dst: c.local, Proto: ProtoTCP,
-			Flags: FlagSYN | FlagACK, Size: tcpHeaderBytes, Count: 1,
-		})
-		server := &Conn{
-			net: n, host: dst,
-			local: to, remote: c.local,
-			handler: serverHandler,
-			state:   stateEstablished,
-			id:      c.id,
-			opened:  n.Clock.Now(),
-			// The accepting side shares the dialer's fault schedule
-			// (same coordinates, opposite direction) so both halves
-			// of a connection agree on its fate.
-			faults: c.faults,
-			fSeq:   c.fSeq, fDir: "in",
-		}
-		n.m.connsEstablished.Inc()
-		c.peer = server
-		server.peer = c
-		c.state = stateEstablished
-		c.opened = n.Clock.Now()
-		server.handler.OnConnect(server)
-		c.handler.OnConnect(c)
-	})
+	n.fly(now.Add(rtt), flightHandshake, flight{dst: dst, conn: c, acceptor: acceptor})
 	return c
+}
+
+// handshake completes the dial once the SYN's round trip is up,
+// accepting through the acceptor that was bound when c dialed.
+func (c *Conn) handshake(dst *Host, acceptor TCPAcceptor) {
+	if c.state != stateConnecting {
+		return
+	}
+	if !dst.Online {
+		// Host went dark mid-handshake.
+		c.fail(ErrTimeout)
+		return
+	}
+	serverHandler := acceptor(c.remote, c.local)
+	if serverHandler == nil {
+		c.fail(ErrRefused)
+		return
+	}
+	n := c.net
+	n.record(PacketRecord{
+		Time: n.Clock.Now(), Src: c.remote, Dst: c.local, Proto: ProtoTCP,
+		Flags: FlagSYN | FlagACK, Size: tcpHeaderBytes, Count: 1,
+	})
+	server := &Conn{
+		net: n, host: dst,
+		local: c.remote, remote: c.local,
+		handler: serverHandler,
+		state:   stateEstablished,
+		id:      c.id,
+		opened:  n.Clock.Now(),
+		// The accepting side shares the dialer's fault schedule
+		// (same coordinates, opposite direction) so both halves
+		// of a connection agree on its fate.
+		faults: c.faults,
+		fSeq:   c.fSeq, fDir: "in",
+	}
+	n.m.connsEstablished.Inc()
+	c.peer = server
+	server.peer = c
+	c.state = stateEstablished
+	c.opened = n.Clock.Now()
+	server.handler.OnConnect(server)
+	c.handler.OnConnect(c)
+}
+
+// Conn timer kinds, the argument of a connEvents event.
+const (
+	connTimeout uint64 = iota // the SYN went unanswered
+	connRefused               // an RST answered the SYN
+	connPeerFIN               // the peer closed cleanly
+	connPeerRST               // the peer aborted, or the network forged an RST
+)
+
+// connEvents is a Conn as the clock's handler for its own timers, so
+// Conn gains no exported method.
+type connEvents Conn
+
+// after schedules the conn timer kind d from now.
+func (c *Conn) after(d time.Duration, kind uint64) {
+	c.net.Clock.AfterCall(d, (*connEvents)(c), kind)
+}
+
+// Fire runs one conn timer. It fires even on a conn that has since
+// closed, and then does nothing.
+func (e *connEvents) Fire(kind uint64) {
+	c := (*Conn)(e)
+	switch kind {
+	case connTimeout:
+		c.fail(ErrTimeout)
+	case connRefused:
+		c.fail(ErrRefused)
+	case connPeerFIN:
+		c.peerClosed(nil)
+	case connPeerRST:
+		c.peerClosed(ErrReset)
+	}
+}
+
+// deliver hands one data segment to c, unless c closed or its host
+// went offline while the segment was in flight.
+func (c *Conn) deliver(b []byte) {
+	if c.state != stateEstablished || !c.host.Online {
+		return
+	}
+	c.bytesIn += len(b)
+	c.handler.OnData(c, b)
+}
+
+// peerClosed closes an established c when its peer's FIN or RST
+// arrives.
+func (c *Conn) peerClosed(err error) {
+	if c.state != stateEstablished {
+		return
+	}
+	c.state = stateClosed
+	c.handler.OnClose(c, err)
 }
 
 // dropSegment asks the installed fault plan, if any, whether this
@@ -266,8 +324,7 @@ func (c *Conn) Write(payload []byte) error {
 		return nil
 	}
 	n.record(rec)
-	peer := c.peer
-	lat := n.Latency(c.local.IP, c.remote.IP) + c.faults.ExtraLatency
+	arrive := n.Clock.Now().Add(n.Latency(c.local.IP, c.remote.IP) + c.faults.ExtraLatency)
 	if c.faults.DripChunk > 0 && len(buf) > c.faults.DripChunk {
 		// Slow drip: the peer receives the payload in chunks spaced
 		// DripDelay apart — one write, several OnData calls, message
@@ -278,37 +335,25 @@ func (c *Conn) Write(payload []byte) error {
 			if end > len(buf) {
 				end = len(buf)
 			}
-			chunk := buf[off:end]
-			n.Clock.After(lat+time.Duration(i)*c.faults.DripDelay, func() {
-				if peer.state != stateEstablished || !peer.host.Online {
-					return
-				}
-				peer.bytesIn += len(chunk)
-				peer.handler.OnData(peer, chunk)
-			})
+			n.fly(arrive.Add(time.Duration(i)*c.faults.DripDelay), flightData,
+				flight{conn: c.peer, rec: PacketRecord{Payload: buf[off:end]}})
 		}
 		return nil
 	}
-	n.Clock.After(lat, func() {
-		if peer.state != stateEstablished || !peer.host.Online {
-			return
-		}
-		peer.bytesIn += len(buf)
-		peer.handler.OnData(peer, buf)
-	})
+	n.fly(arrive, flightData, flight{conn: c.peer, rec: PacketRecord{Payload: buf}})
 	return nil
 }
 
 // Close performs an orderly FIN close. Both sides see OnClose(nil);
 // the peer's fires after the one-way latency.
 func (c *Conn) Close() {
-	c.shutdown(nil, FlagFIN|FlagACK)
+	c.shutdown(connPeerFIN, FlagFIN|FlagACK)
 }
 
 // Abort tears the connection down with RST. The peer sees
 // OnClose(ErrReset).
 func (c *Conn) Abort() {
-	c.shutdown(ErrReset, FlagRST|FlagACK)
+	c.shutdown(connPeerRST, FlagRST|FlagACK)
 }
 
 // injectReset tears the connection down as if the network forged an
@@ -325,18 +370,13 @@ func (c *Conn) injectReset() {
 		Time: n.Clock.Now(), Src: c.local, Dst: c.remote, Proto: ProtoTCP,
 		Flags: FlagRST | FlagACK, Size: tcpHeaderBytes, Count: 1,
 	})
-	peer := c.peer
-	n.Clock.After(n.Latency(c.local.IP, c.remote.IP), func() {
-		if peer.state != stateEstablished {
-			return
-		}
-		peer.state = stateClosed
-		peer.handler.OnClose(peer, ErrReset)
-	})
+	c.peer.after(n.Latency(c.local.IP, c.remote.IP), connPeerRST)
 	c.handler.OnClose(c, ErrReset)
 }
 
-func (c *Conn) shutdown(peerErr error, flags TCPFlags) {
+// shutdown closes c and, if it was established, sends flags to the
+// peer, whose peerKind timer closes it a one-way latency later.
+func (c *Conn) shutdown(peerKind uint64, flags TCPFlags) {
 	if c.state == stateClosed {
 		return
 	}
@@ -348,14 +388,7 @@ func (c *Conn) shutdown(peerErr error, flags TCPFlags) {
 			Time: n.Clock.Now(), Src: c.local, Dst: c.remote, Proto: ProtoTCP,
 			Flags: flags, Size: tcpHeaderBytes, Count: 1,
 		})
-		peer := c.peer
-		n.Clock.After(n.Latency(c.local.IP, c.remote.IP), func() {
-			if peer.state != stateEstablished {
-				return
-			}
-			peer.state = stateClosed
-			peer.handler.OnClose(peer, peerErr)
-		})
+		c.peer.after(n.Latency(c.local.IP, c.remote.IP), peerKind)
 	}
 	c.handler.OnClose(c, nil)
 }

@@ -339,8 +339,72 @@ type Network struct {
 	connSeqs  []connSeqEntry
 	connSeqAt map[connSeqKey]int32
 
+	// flights holds every delivery waiting on the clock, and
+	// freeFlights the slots it can reuse.
+	flights     []flight
+	freeFlights []int32
+
 	obs *obs.Recorder
 	m   netMetrics
+}
+
+// flight is one delivery waiting on the clock: rec for dst's taps, a
+// data segment (rec.Payload) for conn, or conn's handshake completing
+// at dst through the acceptor bound when it dialed.
+type flight struct {
+	dst      *Host
+	conn     *Conn
+	acceptor TCPAcceptor
+	rec      PacketRecord
+}
+
+// Flight kinds, the low two bits of an in-flight event's argument;
+// the slot is the rest.
+const (
+	flightTap uint64 = iota
+	flightData
+	flightHandshake
+)
+
+// fly parks f in the in-flight table and schedules its delivery for
+// at.
+func (n *Network) fly(at time.Time, kind uint64, f flight) {
+	var slot int32
+	if k := len(n.freeFlights); k > 0 {
+		slot = n.freeFlights[k-1]
+		n.freeFlights = n.freeFlights[:k-1]
+	} else {
+		slot = int32(len(n.flights))
+		n.flights = append(n.flights, flight{})
+	}
+	n.flights[slot] = f
+	n.Clock.ScheduleCall(at, (*netEvents)(n), uint64(slot)<<2|kind)
+}
+
+// netEvents is a Network as the clock's handler for its in-flight
+// events, so Network gains no exported method.
+type netEvents Network
+
+// Fire lands one in-flight delivery. The slot is freed before the
+// delivery runs, since what it calls may send again. An event fires
+// even when it will do nothing (a host without taps, a closed conn):
+// the sandbox counts events.
+func (e *netEvents) Fire(arg uint64) {
+	n := (*Network)(e)
+	slot := int32(arg >> 2)
+	f := n.flights[slot]
+	n.flights[slot] = flight{}
+	n.freeFlights = append(n.freeFlights, slot)
+	switch arg & 3 {
+	case flightTap:
+		if f.dst.Online {
+			f.dst.tap(f.rec, false)
+		}
+	case flightData:
+		f.conn.deliver(f.rec.Payload)
+	case flightHandshake:
+		f.conn.handshake(f.dst, f.acceptor)
+	}
 }
 
 // netMetrics caches the network's obs counters so hot paths skip the
@@ -736,19 +800,13 @@ func (n *Network) record(rec PacketRecord) {
 	if dst == nil || !dst.Online {
 		return
 	}
-	lat := n.Latency(rec.Src.IP, rec.Dst.IP)
-	delivered := rec
-	delivered.Time = rec.Time.Add(lat)
-	if n.darkAt(rec.Dst.IP, delivered.Time) {
+	rec.Time = rec.Time.Add(n.Latency(rec.Src.IP, rec.Dst.IP))
+	if n.darkAt(rec.Dst.IP, rec.Time) {
 		// Injected blackout: the packet leaves the sender but the
 		// dark host never taps it.
 		return
 	}
-	n.Clock.Schedule(delivered.Time, func() {
-		if dst.Online {
-			dst.tap(delivered, false)
-		}
-	})
+	n.fly(rec.Time, flightTap, flight{dst: dst, rec: rec})
 }
 
 const (

@@ -291,3 +291,27 @@ func TestScenarioSpecOverrideFamily(t *testing.T) {
 	// registration, not a conflict.
 	Generate(cfg)
 }
+
+// FuzzSpecOverride feeds Validate a (name, JSON) spec override with
+// the name enabled as a family, the shape a resumed run reads back
+// from its checkpoint. Validate must not panic, must name the
+// scenario field in every error, and must leave the protocol registry
+// as it found it: it compiles overrides but never registers them.
+func FuzzSpecOverride(f *testing.F) {
+	f.Add("x", "{")
+	f.Add("x", `{"name":"y","transport":"text","framing":"lines"}`)
+	f.Add("x", `{"name":"x","framing":"bogus"}`)
+	f.Add("fuzzpack", `{"name":"fuzzpack","transport":"text","framing":"lines","login":["HELLO fuzzpack\n"],"session":{"ready":"line-prefix","ready_pat":"HELLO"},"commands":{"text":{"verbs":[{"attack":1,"verb":"FLOOD"}]}},"ports":[4444]}`)
+	f.Add(c2.FamilyMirai, "{")
+	f.Add("", `{"name":""}`)
+	f.Fuzz(func(t *testing.T, name, raw string) {
+		before, okBefore := c2.Lookup(name)
+		sc := ScenarioConfig{Families: []string{name}, SpecOverrides: map[string]string{name: raw}}
+		if err := sc.Validate(); err != nil && !strings.HasPrefix(err.Error(), "scenario.") {
+			t.Fatalf("error %q does not name a scenario field", err)
+		}
+		if after, okAfter := c2.Lookup(name); okAfter != okBefore || after != before {
+			t.Fatalf("Validate changed the registry's answer for %q", name)
+		}
+	})
+}
