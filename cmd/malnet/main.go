@@ -7,14 +7,16 @@
 //	       [-faults] [-fault-seed N] [-v]
 //	       [-trace-out FILE] [-metrics-out FILE] [-debug-addr ADDR]
 //	       [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
+//	       [-lake-dir DIR] [-lake-run NAME] [-lake-branch NAME]
 //
 // With -checkpoint-dir the study snapshots itself at day-batch
 // boundaries; a run killed by ^C (or anything else) restarts from the
 // newest snapshot with -resume, producing byte-identical output to an
 // uninterrupted run. An interrupted run still flushes its trace
 // journal and metrics snapshot, so partial observability survives.
-// The snapshots double as the data source for cmd/malnetd, the query
-// daemon that serves finished (or still-running) studies over HTTP.
+// With -lake-dir every snapshot is also committed into a run lake,
+// the data source of cmd/malnetd, the query daemon that serves
+// finished (or still-running) studies over HTTP.
 package main
 
 import (

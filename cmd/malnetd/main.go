@@ -1,9 +1,8 @@
 // Command malnetd serves a finished (or still-running) MalNet study
-// over HTTP. It loads the newest valid snapshot from a checkpoint
-// directory — the same day-NNN.ckpt files cmd/malnet writes with
-// -checkpoint-dir — encodes its sample table into columns in memory,
-// and answers JSON queries, every filter a selection over those
-// columns:
+// over HTTP. It mounts the run lake cmd/malnet commits its
+// checkpoints into with -lake-dir, loads the head of -branch, encodes
+// its sample table into columns in memory, and answers JSON queries,
+// every filter a selection over those columns:
 //
 //	GET /v1/headline            dataset sizes + headline findings
 //	GET /v1/metrics             the deterministic metrics section
@@ -14,22 +13,27 @@
 //	GET /v1/query?q=            columnar filter+aggregate expressions,
 //	                            e.g. family=="mirai" and day in
 //	                            100..200 | count() by c2
+//	GET /v1/families            the spec registry joined with
+//	                            per-family sample counts
 //
-// When -checkpoint-dir holds a run lake (written by cmd/malnet with
-// -lake-dir), the whole lake is mounted: the default store tracks
-// -branch's head, every endpoint above additionally accepts run= and
-// asof= selectors that resolve through the commit journal to any
-// retained generation, and two lake-only endpoints appear:
+// Every endpoint above also accepts run= and asof= selectors that
+// resolve through the lake's commit journal to any retained
+// generation, and two endpoints read the history itself:
 //
 //	GET /v1/runs?limit=         branches, runs, retained generations
 //	GET /v1/diff?a=&b=          headline/aggregate comparison across
 //	                            two selectors (branch-or-run[@day])
 //
-// While a study is still running, malnetd polls the directory and
-// hot-reloads newer snapshots: the store is swapped atomically, so
+// While a study is still running, malnetd polls the branch head and
+// hot-reloads newer commits: the store is swapped atomically, so
 // in-flight requests finish against the snapshot they started on.
 // Identical snapshots produce byte-identical responses, which is what
-// makes the smoke test's golden-JSON diff possible.
+// makes the smoke test's golden-JSON diff possible. A directory that
+// is not already a lake is refused, not laid out as a new one.
+//
+// On SIGINT or SIGTERM malnetd stops accepting connections, drains
+// in-flight requests, closes its access log and debug listener, and
+// exits 0.
 //
 // The serving library (internal/serve) never reads the wall clock;
 // the reload ticker lives here, in the command, and request timing is
@@ -43,11 +47,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"malnet/internal/cli"
@@ -56,11 +63,28 @@ import (
 	"malnet/internal/serve"
 )
 
-func main() {
-	dir := flag.String("checkpoint-dir", "", "directory of day-NNN.ckpt study snapshots — or a run lake — to serve (required)")
-	branch := flag.String("branch", "main", "lake branch the default store tracks (lake directories only)")
+// Connection bounds. A client gets readHeaderTimeout to send its
+// request headers and at most maxHeaderBytes of them, and a
+// keep-alive connection is closed after idleTimeout without a
+// request, so a slow or silent client cannot pin a connection. On
+// shutdown, requests still in flight get drainTimeout to finish.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+	drainTimeout      = 10 * time.Second
+)
+
+func main() { os.Exit(run()) }
+
+// run is main with defer-friendly exits: the access log and the debug
+// listener are closed on every path out, the signal-driven shutdown
+// included.
+func run() int {
+	dir := flag.String("lake-dir", "", "run lake to serve, as cmd/malnet -lake-dir writes it (required)")
+	branch := flag.String("branch", "main", "lake branch the default store tracks")
 	listen := flag.String("listen", "127.0.0.1:8377", "address to serve the /v1 API on (use :0 for an ephemeral port)")
-	reload := flag.Duration("reload-every", 5*time.Second, "how often to check -checkpoint-dir for a newer snapshot (0 = never)")
+	reload := flag.Duration("reload-every", 5*time.Second, "how often to check the branch head for a newer commit (0 = never)")
 	accessLog := flag.String("access-log", "", "append one JSON line per request (id, endpoint, status, stages) to FILE")
 	slowThreshold := flag.Duration("slowlog-threshold", 250*time.Millisecond, "record requests at least this slow in /debug/slowlog (0 = record everything, negative = disable)")
 	slowCap := flag.Int("slowlog-cap", 64, "how many recent slow requests /debug/slowlog retains")
@@ -69,17 +93,20 @@ func main() {
 	flag.Parse()
 
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "malnetd: -checkpoint-dir is required")
+		fmt.Fprintln(os.Stderr, "malnetd: -lake-dir is required")
 		flag.Usage()
-		os.Exit(2)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
+		return 1
 	}
 
 	redOpts := redplane.Options{SlowThreshold: *slowThreshold, SlowCap: *slowCap}
 	if *accessLog != "" {
 		fh, err := os.OpenFile(*accessLog, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer fh.Close()
 		redOpts.AccessLog = fh
@@ -89,21 +116,16 @@ func main() {
 	wall := obs.NewWall()
 	srv, err := serve.New(*dir, wall, serve.WithRedPlane(red), serve.WithBranch(*branch))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	st := srv.Store()
 	fmt.Fprintf(os.Stderr, "malnetd: serving snapshot day %d (generation %.12s…) from %s\n",
 		st.Day, st.Generation, *dir)
-	if st.SkippedCorrupt > 0 {
-		fmt.Fprintf(os.Stderr, "malnetd: skipped %d corrupt snapshot(s)\n", st.SkippedCorrupt)
-	}
 
 	if obsFlags.DebugAddr != "" {
 		dbg, addr, err := obs.ServeDebug(obsFlags.DebugAddr, wall, red)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer dbg.Close()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /debug/pprof/, /debug/slowlog)\n", addr)
@@ -127,14 +149,33 @@ func main() {
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	// The bound address goes to stdout so scripts using -listen :0 can
 	// capture it; all logging stays on stderr.
 	fmt.Printf("listening on http://%s\n", ln.Addr())
-	if err := http.Serve(ln, srv.Handler()); err != nil {
-		fmt.Fprintf(os.Stderr, "malnetd: %v\n", err)
-		os.Exit(1)
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return fail(err)
+	case <-ctx.Done():
+	}
+	// A second signal during the drain kills the process outright.
+	stop()
+	fmt.Fprintln(os.Stderr, "malnetd: shutting down; draining in-flight requests")
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		return fail(fmt.Errorf("shutdown: %w", err))
+	}
+	return 0
 }

@@ -336,64 +336,31 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 // plus the content-addressed generation id the response cache keys
 // on.
 type StudySnapshot struct {
-	// Path and Day locate the snapshot in its directory.
+	// Path is the file the snapshot was read from; Day is its
+	// study-day index.
 	Path string
 	Day  int
 	// Generation is the snapshot file's SHA-256 integrity footer in
 	// hex: two byte-identical snapshots (e.g. the same study run at
 	// different worker counts) share a generation.
 	Generation string
-	// SkippedCorrupt counts newer snapshots in the directory that
-	// were passed over as corrupt or truncated.
-	SkippedCorrupt int
 
 	Meta     CheckpointMeta
 	Datasets CheckpointDatasets
 }
 
-// OpenStudySnapshot loads the newest valid checkpoint in dir for
-// read-only serving, skipping corrupt snapshots like resume does. It
-// returns (nil, nil) when dir holds no loadable checkpoint. The
+// OpenSnapshotAt loads one checkpoint file for read-only serving —
+// in malnetd, a run lake's content-addressed object. The day comes
+// from the snapshot's own meta (lake object names carry no day). The
 // returned metrics registry is reconstructed the way a finished
 // study's Metrics() would read: the checkpointed study-plane
 // registry, the dataset-size gauges, and the world-plane registry
 // merged under the "world." prefix.
-func OpenStudySnapshot(dir string) (*StudySnapshot, *obs.Registry, error) {
-	snap, skipped, err := checkpoint.Latest(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open snapshot: %w", err)
-	}
-	if snap == nil {
-		return nil, nil, nil
-	}
-	ss, reg, err := snapshotFromFile(snap.File, snap.Path)
-	if err != nil {
-		return nil, nil, err
-	}
-	ss.SkippedCorrupt = skipped
-	return ss, reg, nil
-}
-
-// OpenSnapshotAt loads one specific checkpoint file for read-only
-// serving — the lake's time-travel path, where the file is a
-// content-addressed object rather than the newest entry of a
-// directory. The day comes from the snapshot's own meta (lake object
-// names carry no day), which for directory checkpoints equals the
-// day in the filename by construction of saveCheckpoint.
 func OpenSnapshotAt(path string) (*StudySnapshot, *obs.Registry, error) {
 	f, err := checkpoint.ReadFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
 	}
-	return snapshotFromFile(f, path)
-}
-
-// snapshotFromFile builds the serving view from a decoded checkpoint:
-// the snapshot struct plus a metrics registry reconstructed the way a
-// finished study's Metrics() would read (study-plane registry,
-// dataset-size gauges, world-plane registry under the "world."
-// prefix).
-func snapshotFromFile(f *checkpoint.File, path string) (*StudySnapshot, *obs.Registry, error) {
 	ss := &StudySnapshot{
 		Path:       path,
 		Generation: f.SumHex(),

@@ -266,9 +266,10 @@ func TestCheckpointFailureStopsLookahead(t *testing.T) {
 	scfg.Determinism.Workers = 8
 	scfg.Durability.Dir = t.TempDir()
 	errPublish := errors.New("publish failed")
-	checkpoints := 0
-	scfg.Durability.OnCheckpoint = func(int, string) error {
+	checkpoints, third := 0, ""
+	scfg.Durability.OnCheckpoint = func(_ int, path string) error {
 		if checkpoints++; checkpoints == 3 {
+			third = path
 			return errPublish
 		}
 		return nil
@@ -281,9 +282,9 @@ func TestCheckpointFailureStopsLookahead(t *testing.T) {
 		t.Fatalf("OnCheckpoint ran %d times after failing on the third", checkpoints)
 	}
 
-	snap, _, err := OpenStudySnapshot(scfg.Durability.Dir)
-	if err != nil || snap == nil {
-		t.Fatalf("third snapshot: %v, %v", snap, err)
+	snap, _, err := OpenSnapshotAt(third)
+	if err != nil {
+		t.Fatalf("third snapshot: %v", err)
 	}
 	merged := 0
 	for day := world.StudyStart(); day.Before(world.StudyEnd()) && dayIndex(day) <= snap.Day; day = day.AddDate(0, 0, 1) {

@@ -109,8 +109,8 @@ func Open(dir string) (*Lake, error) {
 }
 
 // IsLake reports whether dir holds a lake (its commit journal
-// exists). The serving layer uses it to decide between mounting a
-// lake and the legacy single-checkpoint-directory mode.
+// exists). Open creates a missing layout, so the serving layer checks
+// IsLake first and refuses a directory that is not already a lake.
 func IsLake(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, "journal.lake"))
 	return err == nil

@@ -67,10 +67,9 @@ func (p *Plane) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(&b, "# HELP %s_generation_requests_total Requests answered per store generation (last %d generations retained).\n", prefix, maxGenerations)
 	fmt.Fprintf(&b, "# TYPE %s_generation_requests_total counter\n", prefix)
 	for _, g := range gens {
-		// The run label appears only in lake mode; directory-mode
-		// exposition is byte-identical to what it was before runs
-		// existed, so dashboards keyed on the bare generation keep
-		// matching.
+		// A generation with no run name (a run-less lake commit, or
+		// a store built outside a lake) gets no run label rather
+		// than an empty one.
 		if g.run == "" {
 			fmt.Fprintf(&b, "%s_generation_requests_total{generation=%q} %d\n", prefix, g.gen, g.n)
 		} else {

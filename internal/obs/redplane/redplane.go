@@ -104,9 +104,9 @@ type endpointRED struct {
 
 // genCount is one store generation's request total, kept in
 // first-seen order so eviction drops the oldest. run is the lake run
-// that produced the generation ("" outside lake mode — the label is
-// then omitted from the exposition), so one counter row answers both
-// "which snapshot" and "whose study".
+// that produced the generation ("" when the commit names no run —
+// the label is then omitted from the exposition), so one counter row
+// answers both "which snapshot" and "whose study".
 type genCount struct {
 	gen string
 	run string

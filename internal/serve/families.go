@@ -65,13 +65,15 @@ func attackVocabulary(ps spec.ProtocolSpec) []string {
 // handleFamilies serves GET /v1/families: the spec registry joined
 // with per-family dataset counts. Uncached — the registry can grow at
 // runtime (scenario-pack spec overrides), so rows must not outlive a
-// registration the way snapshot-keyed cache entries would.
+// registration the way snapshot-keyed cache entries would. Like the
+// cached endpoints it answers from the mounted store unless a
+// selector names another generation.
 func (s *Server) handleFamilies(r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r); herr != nil {
+	if herr := checkParams(r); herr != nil {
 		return nil, herr
 	}
 	st := s.Store()
-	if s.lk != nil {
+	if hasSelector(r.URL.RawQuery) {
 		var herr *httpError
 		if st, herr = s.storeForSelector(r); herr != nil {
 			return nil, herr

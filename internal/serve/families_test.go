@@ -16,16 +16,18 @@ import (
 )
 
 // scenarioCheckpointDir runs one scenario-packed fixture study (base
-// feed plus the wisp relay mesh and sora DGA packs) to completion —
-// the end of the ISSUE's study → checkpoint → malnetd chain.
+// feed plus the wisp relay mesh and sora DGA packs) to completion,
+// commits its final checkpoint into a lake and returns the lake's
+// directory — the end of the study → checkpoint → lake → malnetd
+// chain.
 func scenarioCheckpointDir(t *testing.T) string {
 	t.Helper()
-	dir := filepath.Join(fixtureBase, "scenario")
 	fixMu.Lock()
 	defer fixMu.Unlock()
-	if fixDirs[-1] != "" {
-		return dir
+	if d := fixDirs[-1]; d != "" {
+		return d
 	}
+	ckpt := filepath.Join(fixtureBase, "scenario", "ckpt")
 	wcfg := world.DefaultConfig(fixtureSeed)
 	wcfg.TotalSamples = fixtureSamples
 	wcfg.Scenario.Families = []string{c2.FamilyWisp, c2.FamilySora}
@@ -33,10 +35,12 @@ func scenarioCheckpointDir(t *testing.T) string {
 	scfg := core.Defaults(fixtureSeed)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = 2
-	scfg.Durability = core.CheckpointConfig{Dir: dir}
+	scfg.Durability = core.CheckpointConfig{Dir: ckpt}
 	if _, err := core.RunStudyContext(context.Background(), world.Generate(wcfg), scfg); err != nil {
 		t.Fatalf("scenario fixture study failed: %v", err)
 	}
+	dir := filepath.Join(fixtureBase, "scenario", "lake")
+	commitLatest(t, ckpt, dir)
 	fixDirs[-1] = dir
 	return dir
 }
@@ -114,11 +118,8 @@ func TestServeFamilies(t *testing.T) {
 		t.Fatalf("mozi should have no attack vocabulary, got %v", rows[c2.FamilyMozi].Attacks)
 	}
 
-	// Unknown parameters 400; lake selectors are unknown in
-	// single-directory mode and must 400 too.
-	for _, path := range []string{"/v1/families?bogus=1", "/v1/families?run=main"} {
-		if status, body := get(t, ts, path); status != http.StatusBadRequest {
-			t.Fatalf("GET %s: status %d, want 400: %s", path, status, body)
-		}
+	// Unknown parameters 400.
+	if status, body := get(t, ts, "/v1/families?bogus=1"); status != http.StatusBadRequest {
+		t.Fatalf("GET /v1/families?bogus=1: status %d, want 400: %s", status, body)
 	}
 }

@@ -15,12 +15,11 @@ import (
 	"malnet/internal/obs/redplane"
 )
 
-// Lake mode: the daemon mounts a whole run lake instead of one
-// checkpoint directory. The default store tracks a branch head (see
-// Reload); this file is everything beyond that default — resolving
-// run=/asof= selectors through the commit journal, keeping resolved
-// historical generations resident, and the two lake-only endpoints
-// (/v1/runs, /v1/diff).
+// The daemon mounts a whole run lake. The default store tracks a
+// branch head (see Reload); this file is everything beyond that
+// default — resolving run=/asof= selectors through the commit
+// journal, keeping resolved historical generations resident, and the
+// two history endpoints (/v1/runs, /v1/diff).
 
 // maxResidentStores caps how many historical generations are kept
 // built in memory at once. A Store holds its snapshot's records plus
@@ -143,7 +142,7 @@ func (s *Server) evictOldestLocked() {
 	}
 }
 
-// uncached wraps a lake endpoint with the in-flight gauge, the
+// uncached wraps an endpoint with the in-flight gauge, the
 // request span, and JSON encoding — but no response cache: /v1/runs
 // and /v1/diff read the journal, which can grow without any
 // generation turnover, so generation-keyed caching would serve stale
@@ -193,13 +192,9 @@ type runBranch struct {
 }
 
 // handleRuns lists the lake's branches, their runs, and retained
-// generations. 404 outside lake mode — a single-directory daemon has
-// no run history to list.
+// generations.
 func (s *Server) handleRuns(r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if s.lk == nil {
-		return nil, &httpError{status: http.StatusNotFound, msg: "not serving a lake (no run history)"}
-	}
-	if herr := s.checkParams(r, "limit"); herr != nil {
+	if herr := checkParams(r, "limit"); herr != nil {
 		return nil, herr
 	}
 	limit, _, herr := page(r)
@@ -280,10 +275,7 @@ func parseSelector(sel string) (name string, asof int, herr *httpError) {
 // list of top-level headline fields whose values differ, so a caller
 // can spot the changed findings without diffing client-side.
 func (s *Server) handleDiff(r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if s.lk == nil {
-		return nil, &httpError{status: http.StatusNotFound, msg: "not serving a lake (nothing to diff)"}
-	}
-	if herr := s.checkParams(r, "a", "b"); herr != nil {
+	if herr := checkParams(r, "a", "b"); herr != nil {
 		return nil, herr
 	}
 	sides := [2]struct {

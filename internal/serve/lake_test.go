@@ -6,26 +6,30 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"malnet/internal/checkpoint"
 	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/obs/redplane"
 )
 
-// lakeFixture is one worker count's lake: a study killed mid-run and
-// resumed to completion, with both checkpoints committed to branch
-// "main" — two generations of one run. midDir holds a plain-directory
-// copy of the mid-study checkpoint for the equivalence diff.
+// lakeFixture is one worker count's lakes: a study killed mid-run
+// and resumed to completion, with both checkpoints committed to
+// branch "main" of lakeDir — two generations of one run — and each
+// also committed alone into a one-commit lake of its own, the
+// reference the equivalence diff serves directly.
 type lakeFixture struct {
-	lakeDir  string
-	midDir   string
-	finalDir string
-	midDay   int
+	lakeDir   string
+	midLake   string
+	finalLake string
+	midDay    int
+	finalDay  int
+	// midObject and finalObject are the two generations' objects in
+	// lakeDir.
+	midObject   string
+	finalObject string
 }
 
 var (
@@ -43,59 +47,31 @@ func buildLakeFixture(t *testing.T, workers int) *lakeFixture {
 		return f
 	}
 	base := filepath.Join(fixtureBase, fmt.Sprintf("lake-w%d", workers))
+	ckpt := filepath.Join(base, "ckpt")
 	f := &lakeFixture{
-		lakeDir:  filepath.Join(base, "lake"),
-		midDir:   filepath.Join(base, "mid"),
-		finalDir: filepath.Join(base, "ckpt"),
-	}
-	l, err := lake.Open(f.lakeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := fmt.Sprintf("seed-%d", fixtureSeed)
-
-	runStudy(t, f.finalDir, workers, 90, false)
-	snap, _, err := checkpoint.Latest(f.finalDir)
-	if err != nil || snap == nil {
-		t.Fatalf("no mid-study checkpoint: snap=%v err=%v", snap, err)
-	}
-	f.midDay = snap.Day
-	// Keep a directory-mode copy of the mid checkpoint: resuming
-	// prunes it from finalDir, and the equivalence test serves it
-	// directly.
-	if err := os.MkdirAll(f.midDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(snap.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(f.midDir, filepath.Base(snap.Path)), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.CommitFile("main", run, fixtureSeed, snap.Day, snap.Path); err != nil {
-		t.Fatal(err)
+		lakeDir:   filepath.Join(base, "lake"),
+		midLake:   filepath.Join(base, "mid"),
+		finalLake: filepath.Join(base, "final"),
 	}
 
-	runStudy(t, f.finalDir, workers, -1, true)
-	snap, _, err = checkpoint.Latest(f.finalDir)
-	if err != nil || snap == nil {
-		t.Fatalf("no final checkpoint: snap=%v err=%v", snap, err)
+	runStudy(t, ckpt, workers, 90, false)
+	mid, midObject := commitLatest(t, ckpt, f.lakeDir, f.midLake)
+	f.midDay, f.midObject = mid.Day, midObject
+
+	runStudy(t, ckpt, workers, -1, true)
+	final, finalObject := commitLatest(t, ckpt, f.lakeDir, f.finalLake)
+	if final.Day <= f.midDay {
+		t.Fatalf("final checkpoint day %d not past mid day %d", final.Day, f.midDay)
 	}
-	if snap.Day <= f.midDay {
-		t.Fatalf("final checkpoint day %d not past mid day %d", snap.Day, f.midDay)
-	}
-	if _, err := l.CommitFile("main", run, fixtureSeed, snap.Day, snap.Path); err != nil {
-		t.Fatal(err)
-	}
+	f.finalDay, f.finalObject = final.Day, finalObject
 	lakeFixtures[workers] = f
 	return f
 }
 
 // TestServeTimeTravelEquivalence is the lake's serving contract: a
 // run=/asof= selector answers with bytes identical to a daemon
-// serving that checkpoint directly, and — like every serving path —
-// identical across worker counts 1, 2, and 8.
+// serving a one-commit lake of that checkpoint, and — like every
+// serving path — identical across worker counts 1, 2, and 8.
 func TestServeTimeTravelEquivalence(t *testing.T) {
 	paths := []string{
 		"/v1/headline",
@@ -119,14 +95,14 @@ func TestServeTimeTravelEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: mounting lake: %v", workers, err)
 		}
 		lts := httptest.NewServer(lsrv.Handler())
-		midSrv, err := New(f.midDir, obs.NewWall())
+		midSrv, err := New(f.midLake, obs.NewWall())
 		if err != nil {
-			t.Fatalf("workers=%d: serving mid dir: %v", workers, err)
+			t.Fatalf("workers=%d: serving the mid lake: %v", workers, err)
 		}
 		mts := httptest.NewServer(midSrv.Handler())
-		finalSrv, err := New(f.finalDir, obs.NewWall())
+		finalSrv, err := New(f.finalLake, obs.NewWall())
 		if err != nil {
-			t.Fatalf("workers=%d: serving final dir: %v", workers, err)
+			t.Fatalf("workers=%d: serving the final lake: %v", workers, err)
 		}
 		fts := httptest.NewServer(finalSrv.Handler())
 
@@ -171,8 +147,8 @@ func TestServeTimeTravelEquivalence(t *testing.T) {
 }
 
 // TestServeLakeSelectorsAndErrors covers the selector edges: asof
-// before the first commit, unknown runs, selectors against a non-lake
-// daemon, and the resident-store gauge.
+// before the first commit, unknown runs, and the resident-store
+// gauge.
 func TestServeLakeSelectorsAndErrors(t *testing.T) {
 	f := buildLakeFixture(t, 2)
 	wall := obs.NewWall()
@@ -205,22 +181,6 @@ func TestServeLakeSelectorsAndErrors(t *testing.T) {
 	if g := wallGauges(t, wall); g["serve.resident_stores"] != 1 {
 		t.Fatalf("resident_stores %d after one time-travel request, want 1", g["serve.resident_stores"])
 	}
-
-	// Directory-mode daemons refuse selectors and the lake endpoints.
-	dsrv, err := New(f.midDir, obs.NewWall())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dts := httptest.NewServer(dsrv.Handler())
-	defer dts.Close()
-	if status, _ := get(t, dts, "/v1/headline?run=main"); status != http.StatusBadRequest {
-		t.Fatalf("directory mode accepted a run= selector (status %d)", status)
-	}
-	for _, p := range []string{"/v1/runs", "/v1/diff?a=main&b=main"} {
-		if status, _ := get(t, dts, p); status != http.StatusNotFound {
-			t.Fatalf("directory mode GET %s: want 404, got %d", p, status)
-		}
-	}
 }
 
 // TestServeLakeTimeTravelCached: a historical generation's responses
@@ -252,7 +212,7 @@ func TestServeLakeTimeTravelCached(t *testing.T) {
 	}
 }
 
-// TestServeLakeRunsAndDiff covers the two lake-only endpoints against
+// TestServeLakeRunsAndDiff covers the two history endpoints against
 // a two-generation branch.
 func TestServeLakeRunsAndDiff(t *testing.T) {
 	f := buildLakeFixture(t, 2)
@@ -351,7 +311,7 @@ func TestServeLakeRunsAndDiff(t *testing.T) {
 		}
 	}
 
-	// The generation counters carry the run label in lake mode.
+	// The generation counters carry the commit's run label.
 	if status, _ := get(t, ts, "/v1/headline"); status != http.StatusOK {
 		t.Fatal("headline request failed")
 	}
@@ -367,8 +327,9 @@ func TestServeLakeRunsAndDiff(t *testing.T) {
 }
 
 // TestServeLakeReload drives the daemon lifecycle against a lake: a
-// commit landing after startup is picked up by Reload, and the new
-// head serves while the old generation stays reachable via asof.
+// commit landing after startup changes nothing any endpoint answers
+// until Reload picks it up, and then the new head serves while the
+// old generation stays reachable via asof.
 func TestServeLakeReload(t *testing.T) {
 	f := buildLakeFixture(t, 2)
 	// A private lake so the commit below doesn't pollute the shared
@@ -378,15 +339,12 @@ func TestServeLakeReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := os.ReadDir(f.midDir)
-	if err != nil || len(mid) != 1 {
-		t.Fatalf("mid fixture dir: %v err=%v", mid, err)
-	}
-	if _, err := l.CommitFile("main", "r", fixtureSeed, f.midDay, filepath.Join(f.midDir, mid[0].Name())); err != nil {
+	if _, err := l.CommitFile("main", "r", fixtureSeed, f.midDay, f.midObject); err != nil {
 		t.Fatal(err)
 	}
 
-	srv, err := New(filepath.Join(dir, "lake"), obs.NewWall())
+	wall := obs.NewWall()
+	srv, err := New(filepath.Join(dir, "lake"), wall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,19 +359,27 @@ func TestServeLakeReload(t *testing.T) {
 		t.Fatalf("no-op lake reload: changed=%v err=%v", changed, err)
 	}
 
-	snap, _, err := checkpoint.Latest(f.finalDir)
-	if err != nil || snap == nil {
+	if _, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, f.finalObject); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.CommitFile("main", "r", fixtureSeed, snap.Day, snap.Path); err != nil {
-		t.Fatal(err)
+	// Until Reload runs, /v1/families — uncached, so it reads the
+	// server on every request — answers the mounted generation like
+	// every cached endpoint, and builds no store for the new head.
+	var fam headlineResp
+	getOK(t, ts, "/v1/families", &fam)
+	if fam.Generation != before.Generation || fam.Day != before.Day {
+		t.Fatalf("/v1/families before reload: day %d generation %.12s, mounted day %d generation %.12s",
+			fam.Day, fam.Generation, before.Day, before.Generation)
+	}
+	if g := wallGauges(t, wall); g["serve.resident_stores"] != 0 {
+		t.Fatalf("resident_stores %d before reload, want 0", g["serve.resident_stores"])
 	}
 	if changed, err := srv.Reload(); err != nil || !changed {
 		t.Fatalf("lake reload after commit: changed=%v err=%v", changed, err)
 	}
 	var after headlineResp
 	getOK(t, ts, "/v1/headline", &after)
-	if after.Day != snap.Day || after.Generation == before.Generation {
+	if after.Day != f.finalDay || after.Generation == before.Generation {
 		t.Fatalf("reloaded head: day %d generation %.12s (before %.12s)", after.Day, after.Generation, before.Generation)
 	}
 	// The pre-reload generation is still one asof away.
@@ -421,14 +387,5 @@ func TestServeLakeReload(t *testing.T) {
 	getOK(t, ts, fmt.Sprintf("/v1/headline?asof=%d", f.midDay), &old)
 	if old.Generation != before.Generation {
 		t.Fatalf("old generation unreachable after reload: %.12s vs %.12s", old.Generation, before.Generation)
-	}
-
-	// An empty lake (no commits on the branch) refuses to serve.
-	empty := t.TempDir()
-	if _, err := lake.Open(filepath.Join(empty, "lake")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(filepath.Join(empty, "lake"), obs.NewWall()); err == nil {
-		t.Fatal("New on an empty lake did not fail")
 	}
 }

@@ -28,14 +28,13 @@ const oracleLimit = 3
 // /v1/families counts. Totals, every page reached through the
 // cursor, and the records on it, in order, must match the walk.
 func TestServeRowScanOracle(t *testing.T) {
-	dir := checkpointDir(t, 1)
-	ss, _, err := core.OpenStudySnapshot(dir)
-	if err != nil || ss == nil {
-		t.Fatalf("opening the fixture snapshot: ss=%v err=%v", ss, err)
-	}
-	srv, err := New(dir, obs.NewWall())
+	srv, err := New(checkpointDir(t, 1), obs.NewWall())
 	if err != nil {
 		t.Fatal(err)
+	}
+	ss, _, err := core.OpenSnapshotAt(srv.lk.ObjectPath(srv.Store().Generation))
+	if err != nil {
+		t.Fatalf("opening the fixture snapshot: %v", err)
 	}
 	synth := syntheticSnapshot(300)
 	synthSrv := &Server{cache: map[string][]byte{}}

@@ -18,7 +18,9 @@ import (
 	"time"
 
 	"malnet/internal/c2"
+	"malnet/internal/checkpoint"
 	"malnet/internal/core"
+	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/obs/redplane"
 	"malnet/internal/world"
@@ -74,8 +76,35 @@ func runStudy(t testing.TB, dir string, workers, killDay int, resume bool) {
 	}
 }
 
+// commitLatest commits the newest checkpoint in ckptDir to branch
+// "main" of each lake in lakeDirs, creating the lakes on first use,
+// and returns the first lake's commit and object path.
+func commitLatest(t testing.TB, ckptDir string, lakeDirs ...string) (c *lake.Commit, object string) {
+	t.Helper()
+	snap, _, err := checkpoint.Latest(ckptDir)
+	if err != nil || snap == nil {
+		t.Fatalf("no checkpoint in %s: snap=%v err=%v", ckptDir, snap, err)
+	}
+	for i, dir := range lakeDirs {
+		l, err := lake.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, err := l.CommitFile("main", fmt.Sprintf("seed-%d", fixtureSeed), fixtureSeed, snap.Day, snap.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			c, object = lc, l.ObjectPath(lc.Snapshot)
+		}
+	}
+	return c, object
+}
+
 // checkpointDir lazily builds (and caches for the whole test run) a
-// completed fixture study's checkpoint directory per worker count.
+// completed fixture study per worker count, with its final checkpoint
+// committed into a lake, and returns the lake's directory. The study's
+// own checkpoint directory is the lake's sibling "ckpt".
 var (
 	fixMu   sync.Mutex
 	fixDirs = map[int]string{}
@@ -87,8 +116,10 @@ func checkpointDir(t testing.TB, workers int) string {
 	if d, ok := fixDirs[workers]; ok {
 		return d
 	}
-	d := filepath.Join(fixtureBase, fmt.Sprintf("w%d", workers))
-	runStudy(t, d, workers, -1, false)
+	base := filepath.Join(fixtureBase, fmt.Sprintf("w%d", workers))
+	runStudy(t, filepath.Join(base, "ckpt"), workers, -1, false)
+	d := filepath.Join(base, "lake")
+	commitLatest(t, filepath.Join(base, "ckpt"), d)
 	fixDirs[workers] = d
 	return d
 }
@@ -312,9 +343,45 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeNoSnapshot: a lake with nothing on the serving branch
+// refuses to serve — an empty lake, and a fixture lake asked for a
+// branch it does not have.
 func TestServeNoSnapshot(t *testing.T) {
-	if _, err := New(t.TempDir(), obs.NewWall()); err == nil {
-		t.Fatal("New on an empty directory did not fail")
+	empty := filepath.Join(t.TempDir(), "lake")
+	if _, err := lake.Open(empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(empty, obs.NewWall()); err == nil {
+		t.Fatal("New on an empty lake did not fail")
+	}
+	_, err := New(checkpointDir(t, 1), obs.NewWall(), WithBranch("ablation"))
+	if err == nil || !strings.Contains(err.Error(), `"ablation"`) {
+		t.Fatalf("New on a branch without commits: err=%v, want one naming the branch", err)
+	}
+}
+
+// TestServeRefusesNonLake: New serves run lakes only. An empty
+// directory and a study's plain checkpoint directory are both
+// refused with an error naming the directory, and neither is laid
+// out as a lake: New writes nothing into the directory it is given.
+func TestServeRefusesNonLake(t *testing.T) {
+	ckpt := filepath.Join(filepath.Dir(checkpointDir(t, 1)), "ckpt")
+	for _, dir := range []string{t.TempDir(), ckpt} {
+		before, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(dir, obs.NewWall())
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("New(%s): err=%v, want a refusal naming the directory", dir, err)
+		}
+		after, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("New(%s) changed the directory: %v, was %v", dir, after, before)
+		}
 	}
 }
 
@@ -339,16 +406,19 @@ func wallCounters(t *testing.T, wall *obs.Wall) map[string]int64 {
 }
 
 // TestServeHotReloadAndCache drives the daemon's lifecycle: serve a
-// mid-study snapshot, let the study finish, Reload, and check that
-// the swap is atomic-by-generation, the cache turns over, and an
-// in-flight pagination cursor keeps working against the new store.
+// mid-study snapshot, let the study finish and commit, Reload, and
+// check that the swap is atomic-by-generation, the cache turns over,
+// and an in-flight pagination cursor keeps working against the new
+// store.
 func TestServeHotReloadAndCache(t *testing.T) {
-	dir := filepath.Join(fixtureBase, "reload")
-	runStudy(t, dir, 2, 90, false)
+	ckpt := filepath.Join(fixtureBase, "reload", "ckpt")
+	lakeDir := filepath.Join(fixtureBase, "reload", "lake")
+	runStudy(t, ckpt, 2, 90, false)
+	commitLatest(t, ckpt, lakeDir)
 
 	wall := obs.NewWall()
 	red := redplane.New(redplane.Options{SlowThreshold: -1})
-	srv, err := New(dir, wall, WithRedPlane(red))
+	srv, err := New(lakeDir, wall, WithRedPlane(red))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,13 +451,14 @@ func TestServeHotReloadAndCache(t *testing.T) {
 		t.Fatalf("mid-study snapshot has only %d samples; fixture too small", page1.Total)
 	}
 
-	// Nothing new on disk → no swap.
+	// No new commit → no swap.
 	if changed, err := srv.Reload(); err != nil || changed {
 		t.Fatalf("no-op reload: changed=%v err=%v", changed, err)
 	}
 
-	// Finish the study, then reload for real.
-	runStudy(t, dir, 2, -1, true)
+	// Finish the study and commit it, then reload for real.
+	runStudy(t, ckpt, 2, -1, true)
+	commitLatest(t, ckpt, lakeDir)
 	changed, err := srv.Reload()
 	if err != nil || !changed {
 		t.Fatalf("reload after new snapshot: changed=%v err=%v", changed, err)
@@ -494,8 +565,8 @@ func syntheticSnapshot(n int) *core.StudySnapshot {
 	return &core.StudySnapshot{Generation: fmt.Sprintf("%064x", n), Datasets: ds}
 }
 
-// benchServer wires a synthetic store into a Server without a
-// checkpoint directory behind it.
+// benchServer wires a synthetic store into a Server without a lake
+// behind it; requests to it carry no run=/asof= selector.
 func benchServer(n int) (*Server, *Store) {
 	st := BuildStore(syntheticSnapshot(n), nil)
 	s := &Server{cache: map[string][]byte{}}

@@ -20,20 +20,18 @@ import (
 )
 
 // Server answers the /v1 query API from an atomically swappable
-// Store. Load/Reload ingest the newest valid snapshot from the
-// checkpoint directory; every request resolves the store pointer
-// once, so a swap mid-request is invisible to that request.
+// Store. New and Reload ingest the head of a run lake's branch; every
+// request resolves the store pointer once, so a swap mid-request is
+// invisible to that request.
 type Server struct {
-	dir   string
 	store atomic.Pointer[Store]
 
-	// Lake mode: when dir holds a run lake (lake.IsLake), lk is the
-	// mounted lake and branch is the line of history the default store
-	// tracks. Every endpoint then accepts run=/asof= selectors that
-	// resolve through the commit journal to any retained generation;
-	// resolved historical generations are kept as resident stores in
-	// an LRU capped at maxResidentStores (see lake.go in this
-	// package). Both are nil/empty in legacy single-directory mode.
+	// lk is the mounted lake and branch the line of history the
+	// default store tracks. Every endpoint accepts run=/asof=
+	// selectors that resolve through the commit journal to any
+	// retained generation; resolved historical generations are kept
+	// as resident stores in an LRU capped at maxResidentStores (see
+	// lake.go in this package).
 	lk     *lake.Lake
 	branch string
 
@@ -74,7 +72,7 @@ func WithRedPlane(p *redplane.Plane) Option {
 }
 
 // WithBranch selects the lake branch the default store tracks
-// ("main" when unset). Ignored in single-directory mode.
+// ("main" when unset).
 func WithBranch(branch string) Option {
 	return func(s *Server) { s.branch = branch }
 }
@@ -85,17 +83,27 @@ func WithBranch(branch string) Option {
 // exactly the queries that filled it.
 const maxCacheEntries = 4096
 
-// New opens the checkpoint directory and builds the first store. It
-// fails when dir holds no loadable snapshot — a daemon with nothing
-// to serve should say so at startup, not 500 forever.
+// New mounts the run lake at dir and builds the first store from
+// the branch head. It fails when dir is not a lake or the branch has
+// no commits — a daemon with nothing to serve should say so at
+// startup, not 500 forever. The lake check comes before lake.Open,
+// which would lay out a new lake: a directory that is not already a
+// lake is refused, never turned into one.
 //
 // Wall exposition: levels (requests_in_flight, resident_stores) are
 // gauges; monotone totals (cache_hits, cache_misses, cache_coalesced)
 // are counters — see DESIGN.md's /metrics table. Store swaps are the
 // red plane's store_swaps_total.
 func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
+	if !lake.IsLake(dir) {
+		return nil, fmt.Errorf("serve: %s is not a run lake (no journal.lake)", dir)
+	}
+	lk, err := lake.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s := &Server{
-		dir:      dir,
+		lk:       lk,
 		branch:   "main",
 		cache:    map[string][]byte{},
 		resident: map[string]*residentStore{},
@@ -103,22 +111,12 @@ func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if lake.IsLake(dir) {
-		lk, err := lake.Open(dir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.lk = lk
-	}
 	changed, err := s.Reload()
 	if err != nil {
 		return nil, err
 	}
 	if !changed {
-		if s.lk != nil {
-			return nil, fmt.Errorf("serve: lake %s has no commits on branch %q", dir, s.branch)
-		}
-		return nil, fmt.Errorf("serve: no checkpoint found in %s", dir)
+		return nil, fmt.Errorf("serve: lake %s has no commits on branch %q", dir, s.branch)
 	}
 	wall.SetGauge("serve.requests_in_flight", s.inflight.Load)
 	wall.SetCounter("serve.cache_hits", s.hits.Load)
@@ -135,53 +133,32 @@ func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
 // Store is the current snapshot generation.
 func (s *Server) Store() *Store { return s.store.Load() }
 
-// Reload checks the checkpoint directory and, when it holds a
-// snapshot of a different generation than the one being served,
-// ingests it and swaps the store pointer. In-flight requests finish
+// Reload reads the branch head from the lake's journal and, when it
+// names a different generation than the one being served, ingests
+// that object and swaps the store pointer. In-flight requests finish
 // against the old store; the response cache starts over. Returns
-// whether a swap happened. Safe to call concurrently with requests
-// (though the daemon calls it from a single ticker goroutine).
+// whether a swap happened. A branch that doesn't exist yet is
+// "nothing to serve", not an error — the daemon's reload ticker keeps
+// watching for the first commit. Safe to call concurrently with
+// requests (though the daemon calls it from a single ticker
+// goroutine).
 func (s *Server) Reload() (bool, error) {
-	var (
-		ss  *core.StudySnapshot
-		reg *obs.Registry
-		run string
-	)
-	if s.lk != nil {
-		// Lake mode tracks the configured branch's head. A branch
-		// that doesn't exist yet is "nothing to serve", not an error —
-		// the daemon's reload ticker keeps watching for the first
-		// commit.
-		head, err := s.lk.Head(s.branch)
-		if err != nil {
-			return false, fmt.Errorf("serve: %w", err)
-		}
-		if head == nil {
-			return false, nil
-		}
-		if cur := s.store.Load(); cur != nil && cur.Generation == head.Snapshot {
-			return false, nil
-		}
-		ss, reg, err = core.OpenSnapshotAt(s.lk.ObjectPath(head.Snapshot))
-		if err != nil {
-			return false, fmt.Errorf("serve: %w", err)
-		}
-		run = head.Run
-	} else {
-		var err error
-		ss, reg, err = core.OpenStudySnapshot(s.dir)
-		if err != nil {
-			return false, err
-		}
-		if ss == nil {
-			return false, nil
-		}
-		if cur := s.store.Load(); cur != nil && cur.Generation == ss.Generation {
-			return false, nil
-		}
+	head, err := s.lk.Head(s.branch)
+	if err != nil {
+		return false, fmt.Errorf("serve: %w", err)
+	}
+	if head == nil {
+		return false, nil
+	}
+	if cur := s.store.Load(); cur != nil && cur.Generation == head.Snapshot {
+		return false, nil
+	}
+	ss, reg, err := core.OpenSnapshotAt(s.lk.ObjectPath(head.Snapshot))
+	if err != nil {
+		return false, fmt.Errorf("serve: %w", err)
 	}
 	st := BuildStore(ss, reg)
-	st.Run = run
+	st.Run = head.Run
 	s.store.Store(st)
 	s.red.StoreSwapped()
 	s.mu.Lock()
@@ -304,7 +281,7 @@ func (s *Server) cached(name string, fn endpoint) http.HandlerFunc {
 		// oblivious to how the store was chosen. The selector scan is
 		// a plain substring walk; selector-free requests (the hot
 		// path) never touch url.Values.
-		if s.lk != nil && hasSelector(r.URL.RawQuery) {
+		if hasSelector(r.URL.RawQuery) {
 			hst, herr := s.storeForSelector(r)
 			if herr != nil {
 				b, _ := json.Marshal(map[string]string{"error": herr.msg})
@@ -441,14 +418,12 @@ func page(r *http.Request) (limit, cursor int, herr *httpError) {
 }
 
 // checkParams rejects unknown query parameters: a typoed filter that
-// silently matches everything is worse than a 400. In lake mode the
-// run= and asof= selectors are valid on every endpoint (consumed by
-// the cached wrapper before the handler runs); in single-directory
-// mode they stay unknown, so a selector against a non-lake daemon
-// fails loudly instead of silently serving the only store.
-func (s *Server) checkParams(r *http.Request, known ...string) *httpError {
+// silently matches everything is worse than a 400. The run= and
+// asof= selectors are valid on every endpoint (consumed by the cached
+// wrapper, or by handleFamilies, before the handler reads its own).
+func checkParams(r *http.Request, known ...string) *httpError {
 	for k := range r.URL.Query() {
-		if s.lk != nil && (k == "run" || k == "asof") {
+		if k == "run" || k == "asof" {
 			continue
 		}
 		found := false
@@ -490,20 +465,18 @@ func pageLen(total, cursor, limit int) int {
 }
 
 func (s *Server) handleHeadline(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r); herr != nil {
+	if herr := checkParams(r); herr != nil {
 		return nil, herr
 	}
 	samples, c2s, exploits, ddos := st.Sizes()
 	return struct {
-		Generation     string            `json:"generation"`
-		Day            int               `json:"day"`
-		SkippedCorrupt int               `json:"skipped_corrupt,omitempty"`
-		Datasets       map[string]int    `json:"datasets"`
-		Headline       results.Headlines `json:"headline"`
+		Generation string            `json:"generation"`
+		Day        int               `json:"day"`
+		Datasets   map[string]int    `json:"datasets"`
+		Headline   results.Headlines `json:"headline"`
 	}{
-		Generation:     st.Generation,
-		Day:            st.Day,
-		SkippedCorrupt: st.SkippedCorrupt,
+		Generation: st.Generation,
+		Day:        st.Day,
 		Datasets: map[string]int{
 			"samples": samples, "c2s": c2s, "exploits": exploits, "ddos": ddos,
 		},
@@ -512,7 +485,7 @@ func (s *Server) handleHeadline(st *Store, r *http.Request, sp *redplane.Span) (
 }
 
 func (s *Server) handleMetrics(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r); herr != nil {
+	if herr := checkParams(r); herr != nil {
 		return nil, herr
 	}
 	return struct {
@@ -523,7 +496,7 @@ func (s *Server) handleMetrics(st *Store, r *http.Request, sp *redplane.Span) (a
 }
 
 func (s *Server) handleSamples(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r, "family", "day", "c2", "limit", "cursor"); herr != nil {
+	if herr := checkParams(r, "family", "day", "c2", "limit", "cursor"); herr != nil {
 		return nil, herr
 	}
 	limit, cursor, herr := page(r)
@@ -554,7 +527,7 @@ func (s *Server) handleSamples(st *Store, r *http.Request, sp *redplane.Span) (a
 }
 
 func (s *Server) handleAttacks(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r, "type", "limit", "cursor"); herr != nil {
+	if herr := checkParams(r, "type", "limit", "cursor"); herr != nil {
 		return nil, herr
 	}
 	limit, cursor, herr := page(r)
@@ -578,7 +551,7 @@ func (s *Server) handleAttacks(st *Store, r *http.Request, sp *redplane.Span) (a
 }
 
 func (s *Server) handleC2Index(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r, "limit", "cursor"); herr != nil {
+	if herr := checkParams(r, "limit", "cursor"); herr != nil {
 		return nil, herr
 	}
 	limit, cursor, herr := page(r)
@@ -607,7 +580,7 @@ func (s *Server) handleC2Index(st *Store, r *http.Request, sp *redplane.Span) (a
 // key, and a repeated aggregation is a cache hit that never touches
 // the columns.
 func (s *Server) handleQuery(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r, "q"); herr != nil {
+	if herr := checkParams(r, "q"); herr != nil {
 		return nil, herr
 	}
 	src := r.URL.Query().Get("q")
@@ -631,7 +604,7 @@ func (s *Server) handleQuery(st *Store, r *http.Request, sp *redplane.Span) (any
 }
 
 func (s *Server) handleC2(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
-	if herr := s.checkParams(r); herr != nil {
+	if herr := checkParams(r); herr != nil {
 		return nil, herr
 	}
 	addr := r.PathValue("addr")

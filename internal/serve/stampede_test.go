@@ -149,7 +149,7 @@ func TestServeHotSwapMidFlight(t *testing.T) {
 	}
 
 	// Hot swap while the old-generation flight is mid-computation:
-	// what Reload does, minus the checkpoint directory.
+	// what Reload does, minus the lake.
 	s.store.Store(stB)
 	s.mu.Lock()
 	s.cache = map[string][]byte{}

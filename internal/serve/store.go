@@ -28,14 +28,13 @@ type Store struct {
 	// Generation is the snapshot file's SHA-256 footer (hex) — the
 	// cache key prefix and the client-visible snapshot id.
 	Generation string
-	// Day is the snapshot's study-day index; SkippedCorrupt counts
-	// newer snapshots the loader passed over as corrupt.
-	Day            int
-	SkippedCorrupt int
-	// Run names the lake run that committed this generation; empty in
-	// single-directory mode. It labels the red plane's generation
-	// counters, never response bodies — a lake-served snapshot stays
-	// byte-identical to the same snapshot served from a directory.
+	// Day is the snapshot's study-day index.
+	Day int
+	// Run names the lake run that committed this generation; empty
+	// for a run-less commit or a store built outside a lake. It
+	// labels the red plane's generation counters, never response
+	// bodies — a generation answers with the same bytes whichever
+	// run name or selector reached it.
 	Run string
 
 	samples  []*core.SampleRecord
@@ -62,15 +61,14 @@ type Store struct {
 func BuildStore(ss *core.StudySnapshot, reg *obs.Registry) *Store {
 	ds := ss.Datasets
 	s := &Store{
-		Generation:     ss.Generation,
-		Day:            ss.Day,
-		SkippedCorrupt: ss.SkippedCorrupt,
-		samples:        ds.Samples,
-		exploits:       ds.Exploits,
-		ddos:           ds.DDoS,
-		c2s:            ds.C2s,
-		c2Addrs:        make([]string, 0, len(ds.C2s)),
-		batch:          colstore.Encode(ds.Samples),
+		Generation: ss.Generation,
+		Day:        ss.Day,
+		samples:    ds.Samples,
+		exploits:   ds.Exploits,
+		ddos:       ds.DDoS,
+		c2s:        ds.C2s,
+		c2Addrs:    make([]string, 0, len(ds.C2s)),
+		batch:      colstore.Encode(ds.Samples),
 		attackType: colstore.NewDictCol(len(ds.DDoS), func(i int) string {
 			return ds.DDoS[i].Command.Attack.String()
 		}),

@@ -277,12 +277,15 @@ func (s *SampleSpec) SHA256() (string, error) {
 	return s.sha, nil
 }
 
-// FeedOn returns the samples published on a given day.
+// FeedOn returns the samples published on day's UTC calendar date,
+// in feed (index) order, the order the study merges them in. A sample
+// may be published at any hour of its date, so this compares dates,
+// not instants.
 func (w *World) FeedOn(day time.Time) []*SampleSpec {
 	var out []*SampleSpec
-	dk := dayKey(day)
+	y, m, d := day.UTC().Date()
 	for _, s := range w.Samples {
-		if dayKey(s.Date) == dk {
+		if sy, sm, sd := s.Date.UTC().Date(); sd == d && sm == m && sy == y {
 			out = append(out, s)
 		}
 	}

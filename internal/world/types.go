@@ -108,7 +108,11 @@ type World struct {
 	Geo   *geo.Registry
 	Intel *intel.Service
 
-	// Samples is the feed in chronological order.
+	// Samples is the feed in index order: the MIPS population by
+	// publication date, then the foreign-architecture decoys and the
+	// scenario packs' samples, which are dated anywhere in the study,
+	// so dates are not monotone across the slice. FeedOn picks out one
+	// day in this order.
 	Samples []*SampleSpec
 	// C2s indexes ground-truth servers by address string.
 	C2s map[string]*C2Spec

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -420,6 +421,36 @@ func TestFeedOnReturnsDaySamples(t *testing.T) {
 		if !s.Date.Equal(day) {
 			t.Fatalf("feed sample dated %v, want %v", s.Date, day)
 		}
+	}
+
+	// On a scenario-packed world, whose sora samples are published at
+	// mid-day and whose pack samples follow the base feed, every study
+	// day's feed is the samples of that UTC date in index order.
+	cfg := DefaultConfig(42)
+	cfg.TotalSamples = 150
+	cfg.Scenario.Families = []string{c2.FamilyWisp, c2.FamilySora}
+	cfg.Scenario.Defaults()
+	w = Generate(cfg)
+	var empty time.Time
+	for day := StudyStart(); day.Before(StudyEnd()); day = day.AddDate(0, 0, 1) {
+		var want []*SampleSpec
+		for _, s := range w.Samples {
+			if s.Date.UTC().Format("2006-01-02") == day.UTC().Format("2006-01-02") {
+				want = append(want, s)
+			}
+		}
+		if got := w.FeedOn(day); !reflect.DeepEqual(got, want) {
+			t.Fatalf("FeedOn(%s): %d samples, want %d in index order", day.Format("2006-01-02"), len(got), len(want))
+		}
+		if len(want) == 0 {
+			empty = day
+		}
+	}
+	if empty.IsZero() {
+		t.Fatal("no study day without samples")
+	}
+	if n := testing.AllocsPerRun(10, func() { w.FeedOn(empty) }); n != 0 {
+		t.Fatalf("FeedOn on a day without samples: %v allocations, want 0", n)
 	}
 }
 

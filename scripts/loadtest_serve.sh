@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Load-test smoke of the serving path: run a short checkpointed study
-# (the same fixture plumbing as scripts/smoke_serve.sh), boot malnetd
-# with its debug plane, drive an open-loop zipf burst from
+# that commits into a run lake (the same fixture plumbing as
+# scripts/smoke_serve.sh), boot malnetd on the lake with its debug
+# plane, drive an open-loop zipf burst from
 # cmd/malnetbench, and fail on any transport error or 5xx — or on
 # zero throughput, which would mean the harness measured nothing.
 #
@@ -24,12 +25,12 @@ tmp="$(mktemp -d)"
 daemon_pid=""
 trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
 
-echo "running the fixture study (-short, checkpointed)..." >&2
-go run ./cmd/malnet -short -checkpoint-dir "$tmp/ckpt" -out "$tmp/out" >/dev/null
+echo "running the fixture study (-short, checkpointed, lake-committed)..." >&2
+go run ./cmd/malnet -short -checkpoint-dir "$tmp/ckpt" -lake-dir "$tmp/lake" -out "$tmp/out" >/dev/null
 
 echo "starting malnetd..." >&2
 go build -o "$tmp/malnetd" ./cmd/malnetd
-"$tmp/malnetd" -checkpoint-dir "$tmp/ckpt" -listen 127.0.0.1:0 -reload-every 0 \
+"$tmp/malnetd" -lake-dir "$tmp/lake" -listen 127.0.0.1:0 -reload-every 0 \
   -debug-addr 127.0.0.1:0 -slowlog-threshold "${SLOWLOG_THRESHOLD:-250ms}" \
   >"$tmp/stdout" 2>"$tmp/stderr" &
 daemon_pid=$!

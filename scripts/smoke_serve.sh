@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serving path: run a short checkpointed
-# study, point malnetd at its checkpoint directory, query the /v1 API,
-# and diff the responses against committed goldens. The study, the
-# checkpoint bytes, and the serving layer are all deterministic, so
-# any drift anywhere in that chain shows up as a golden mismatch.
+# study that commits every checkpoint into a run lake (-lake-dir),
+# point malnetd at that lake, query the /v1 API, and diff the
+# responses against committed goldens. The study, the checkpoint
+# bytes, and the serving layer are all deterministic, so any drift
+# anywhere in that chain shows up as a golden mismatch.
 #
-# The same study also commits every checkpoint into a run lake
-# (-lake-dir); a second daemon then mounts the lake and the run=/asof=
-# selectors must replay the directory-mode goldens byte-for-byte,
-# with /v1/runs and /v1/diff diffed against their own goldens.
+# The run=/asof= selectors that resolve the branch head must replay
+# the bare goldens byte-for-byte; time travel, /v1/runs and /v1/diff
+# have goldens of their own. The daemon's debug listener must expose
+# the traffic on /metrics, and SIGTERM must drain it to exit 0.
 #
 # Usage:  scripts/smoke_serve.sh           # check against goldens
 #         scripts/smoke_serve.sh -update   # regenerate the goldens
@@ -27,7 +28,7 @@ go run ./cmd/malnet -short -scenarios wisp,sora -checkpoint-dir "$tmp/ckpt" -out
 
 echo "starting malnetd..." >&2
 go build -o "$tmp/malnetd" ./cmd/malnetd
-"$tmp/malnetd" -checkpoint-dir "$tmp/ckpt" -listen 127.0.0.1:0 -reload-every 0 \
+"$tmp/malnetd" -lake-dir "$tmp/lake" -listen 127.0.0.1:0 -reload-every 0 \
   -debug-addr 127.0.0.1:0 -slowlog-threshold 0 \
   >"$tmp/stdout" 2>"$tmp/stderr" &
 daemon_pid=$!
@@ -93,9 +94,26 @@ check serve_families.json "/v1/families"
 # body (with the parser's position) is part of the API surface.
 check_status serve_query_bad.json 400 "/v1/query?q=family%3D%3D"
 check_status serve_families_bad.json 400 "/v1/families?bogus=1"
-# Lake-only surfaces must be stable 4xx in directory mode, not 500s.
-check_status serve_runs_nonlake.json 404 "/v1/runs"
-check_status serve_selector_nonlake.json 400 "/v1/headline?run=main"
+
+# --- run-lake selectors -------------------------------------------------
+# Head selectors must replay the goldens above byte-for-byte: run=main
+# resolves the branch head, run=smoke the run name, asof=365 the
+# newest commit of the year — all three are the generation the bare
+# requests just served.
+check serve_headline.json "/v1/headline?run=main"
+check serve_headline.json "/v1/headline?asof=365"
+check serve_samples.json "/v1/samples?family=mirai&limit=2&run=smoke"
+check serve_query_count.json "/v1/query?q=%7C%20count()%20by%20family&run=main"
+check serve_families.json "/v1/families?run=main"
+# Time travel to mid-study: asof=100 resolves the newest commit at or
+# before day 100, a generation the bare requests never see.
+check serve_asof_headline.json "/v1/headline?asof=100"
+# History endpoints: the run listing (truncated so the golden stays
+# small) and a head-vs-day-100 diff of the same branch.
+check serve_runs.json "/v1/runs?limit=3"
+check serve_diff.json "/v1/diff?a=main%40100&b=main"
+# Unknown run names are stable 404s.
+check_status serve_selector_404.json 404 "/v1/headline?run=nope"
 
 # --- serving-plane observability smoke --------------------------------
 # The golden walk above generated known traffic; the debug listener's
@@ -158,46 +176,17 @@ if ! grep -q '"endpoint": "headline"' "$tmp/slowlog"; then
   status=1
 fi
 
-# --- run-lake smoke ---------------------------------------------------
-# Swap the daemon onto the lake the study committed into. Head
-# selectors must replay the directory-mode goldens byte-for-byte:
-# run=main resolves the branch head, run=smoke the run name, asof=365
-# the newest commit of the year — all three are the same generation
-# the directory daemon just served.
-kill "$daemon_pid" 2>/dev/null
-wait "$daemon_pid" 2>/dev/null || true
+# --- shutdown ---------------------------------------------------------
+# SIGTERM must drain the daemon and exit 0, not kill it mid-request.
+kill -TERM "$daemon_pid"
+code=0
+wait "$daemon_pid" || code=$?
 daemon_pid=""
-
-"$tmp/malnetd" -checkpoint-dir "$tmp/lake" -listen 127.0.0.1:0 -reload-every 0 \
-  >"$tmp/stdout2" 2>"$tmp/stderr2" &
-daemon_pid=$!
-base=""
-for _ in $(seq 100); do
-  base="$(sed -n 's#^listening on ##p' "$tmp/stdout2" | head -n1)"
-  [ -n "$base" ] && break
-  kill -0 "$daemon_pid" 2>/dev/null || break
-  sleep 0.1
-done
-if [ -z "$base" ]; then
-  echo "malnetd did not come up on the lake:" >&2
-  cat "$tmp/stderr2" >&2
-  exit 1
+if [ "$code" -ne 0 ]; then
+  echo "smoke: malnetd exited $code after SIGTERM, want 0" >&2
+  cat "$tmp/stderr" >&2
+  status=1
 fi
 
-check serve_headline.json "/v1/headline?run=main"
-check serve_headline.json "/v1/headline?asof=365"
-check serve_samples.json "/v1/samples?family=mirai&limit=2&run=smoke"
-check serve_query_count.json "/v1/query?q=%7C%20count()%20by%20family&run=main"
-check serve_families.json "/v1/families?run=main"
-# Time travel to mid-study: asof=100 resolves the newest commit at or
-# before day 100, a generation the directory daemon never served.
-check serve_asof_headline.json "/v1/headline?asof=100"
-# Lake-only endpoints: the run listing (truncated so the golden stays
-# small) and a head-vs-day-100 diff of the same branch.
-check serve_runs.json "/v1/runs?limit=3"
-check serve_diff.json "/v1/diff?a=main%40100&b=main"
-# Unknown run names are stable 404s.
-check_status serve_selector_404.json 404 "/v1/headline?run=nope"
-
-[ "$status" -eq 0 ] && echo "serve smoke OK ($base lake, metrics on $dbg)" >&2
+[ "$status" -eq 0 ] && echo "serve smoke OK ($base, metrics on $dbg)" >&2
 exit "$status"
