@@ -18,15 +18,18 @@
 //
 // Every endpoint above also accepts run= and asof= selectors that
 // resolve through the lake's commit journal to any retained
-// generation, and two endpoints read the history itself:
+// generation, and two endpoints read the history itself (and refuse
+// those selectors with a 400):
 //
 //	GET /v1/runs?limit=         branches, runs, retained generations
 //	GET /v1/diff?a=&b=          headline/aggregate comparison across
 //	                            two selectors (branch-or-run[@day])
 //
-// While a study is still running, malnetd polls the branch head and
-// hot-reloads newer commits: the store is swapped atomically, so
-// in-flight requests finish against the snapshot they started on.
+// While a study is still running, malnetd polls the branch head (the
+// branch's newest journal frame) and hot-reloads newer commits: the
+// store is swapped atomically, so in-flight requests finish against
+// the snapshot they started on. A failed reload keeps the mounted
+// store and counts in serve.reload_errors.
 // Identical snapshots produce byte-identical responses, which is what
 // makes the smoke test's golden-JSON diff possible. A directory that
 // is not already a lake is refused, not laid out as a new one.

@@ -16,8 +16,9 @@
 //	         data
 //	footer   32 bytes SHA-256 over every preceding byte
 //
-// Files are written atomically: the encoder writes to a temp file in
-// the destination directory and os.Rename's it into place, so a crash
+// Files are written atomically by WriteBytes, which internal/lake also
+// uses for its objects and journal: the bytes go to a temp file in the
+// destination directory and are os.Rename'd into place, so a crash
 // mid-write can never leave a half-written day-NNN.ckpt to resume
 // from (tools/vettime lints this package for exactly that pattern).
 package checkpoint
@@ -179,17 +180,22 @@ func Decode(b []byte) (*File, error) {
 	return f, nil
 }
 
-// WriteFile encodes f and writes it to path atomically and durably:
-// the bytes go to a temp file in path's directory, are fsync'd to
-// stable storage (Close alone does NOT flush the kernel page cache),
-// and the temp file is os.Rename'd over path; the parent directory is
-// then fsync'd so the rename itself survives a power loss. Readers
-// therefore only ever see a complete, footer-sealed snapshot — never
-// an empty or vanished "committed" one. The temp file is chmod'd
-// 0644 before the rename: os.CreateTemp creates 0600, which would
-// stop a daemon running as a different user from mounting the
-// snapshot it is asked to serve.
+// WriteFile encodes f and writes it to path with WriteBytes.
 func WriteFile(path string, f *File) error {
+	return WriteBytes(path, Encode(f))
+}
+
+// WriteBytes writes data to path atomically and durably: the bytes go
+// to a temp file in path's directory, are fsync'd to stable storage
+// (Close alone does NOT flush the kernel page cache), and the temp
+// file is os.Rename'd over path; the parent directory is then fsync'd
+// so the rename itself survives a power loss. Readers therefore only
+// ever see the old file or the whole new one — never an empty or
+// vanished "committed" one. The temp file is chmod'd 0644 before the
+// rename: os.CreateTemp creates 0600, which would stop a daemon
+// running as a different user from mounting the snapshot it is asked
+// to serve.
+func WriteBytes(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -203,7 +209,7 @@ func WriteFile(path string, f *File) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if _, err := tmp.Write(Encode(f)); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		return abort(err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -220,14 +226,13 @@ func WriteFile(path string, f *File) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return SyncDir(dir)
+	return syncDir(dir)
 }
 
-// SyncDir fsyncs a directory, making a just-renamed entry durable:
+// syncDir fsyncs a directory, making a just-renamed entry durable:
 // os.Rename updates the directory, and that update lives in the page
-// cache until the directory itself is flushed. Shared with
-// internal/lake, whose refs and journal follow the same discipline.
-func SyncDir(dir string) error {
+// cache until the directory itself is flushed.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

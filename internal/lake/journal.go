@@ -9,15 +9,16 @@ import (
 )
 
 // The commit journal is the lake's single source of truth for commit
-// history: an append-only file of length-prefixed frames, each a JSON
-// commit record sealed with its own SHA-256. Appends are fsync'd, but
-// a crash can still tear the final frame mid-write — so every frame
-// carries its own integrity hash, the reader stops at the first
-// invalid frame (treating everything before it as the journal), and
-// the writer truncates that torn tail before its next append. A torn
-// tail therefore costs at most the one commit that was being written,
-// whose branch head was never moved (the ref move is sequenced after
-// the journal append), so a mount never observes it.
+// history and branch heads: an append-only file of length-prefixed
+// frames, each a JSON commit record sealed with its own SHA-256. A
+// sealed frame is a commit, and a branch's newest one is its head.
+// Appends are fsync'd, but a crash can still tear the final frame
+// mid-write — so every frame carries its own integrity hash, the
+// reader stops at the first invalid frame (treating everything before
+// it as the journal), and the writer truncates that torn tail before
+// its next append. A torn tail therefore costs at most the one commit
+// that was being written, which never returned success, and no mount
+// observes it.
 //
 // Wire format (integers big-endian):
 //

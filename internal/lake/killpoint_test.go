@@ -47,10 +47,15 @@ func mountAndCheck(t *testing.T, dir, branch string) *Commit {
 // fires, so aborting there leaves exactly the state a kill would). At
 // every point, a fresh mount must yield either the previous or the
 // new branch head — never a torn commit or an invalid reference —
-// and a retried commit must land cleanly.
+// and a retried commit must land cleanly on the head the crash left.
 func TestLakeKillPoints(t *testing.T) {
-	for _, stage := range []string{"object-written", "journal-appended"} {
-		t.Run(stage, func(t *testing.T) {
+	for _, tc := range []struct {
+		stage string
+		// committed: the crash came after the commit point, the
+		// journal frame's fsync.
+		committed bool
+	}{{"object-written", false}, {"journal-appended", true}} {
+		t.Run(tc.stage, func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir)
 			if err != nil {
@@ -59,20 +64,24 @@ func TestLakeKillPoints(t *testing.T) {
 			base := mustCommit(t, l, "main", "r", 1, 10, "base")
 
 			l.failpoint = func(s string) error {
-				if s == stage {
+				if s == tc.stage {
 					return fmt.Errorf("injected crash at %s", s)
 				}
 				return nil
 			}
 			if _, err := l.Commit("main", "r", 1, 20, snapshotBytes(20, "next")); err == nil {
-				t.Fatalf("failpoint %s did not fire", stage)
+				t.Fatalf("failpoint %s did not fire", tc.stage)
 			}
 
-			// The crash happened before the branch-head move, so every
-			// mount still resolves the previous head.
+			// Before the frame is sealed every mount still resolves the
+			// previous head; once it is, the crashed commit is the head.
 			head := mountAndCheck(t, dir, "main")
-			if head == nil || head.ID != base.ID {
-				t.Fatalf("after crash at %s: head %+v, want base commit %d", stage, head, base.ID)
+			if tc.committed {
+				if head == nil || head.ID == base.ID || head.Parent != base.ID || head.Day != 20 {
+					t.Fatalf("after crash at %s: head %+v, want the day-20 commit on %d", tc.stage, head, base.ID)
+				}
+			} else if head == nil || head.ID != base.ID {
+				t.Fatalf("after crash at %s: head %+v, want base commit %d", tc.stage, head, base.ID)
 			}
 
 			// Retry on a fresh mount (the crashed process is gone).
@@ -81,8 +90,8 @@ func TestLakeKillPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			retried := mustCommit(t, l2, "main", "r", 1, 20, "next")
-			if retried.Parent != base.ID {
-				t.Fatalf("retried commit parent %d, want %d", retried.Parent, base.ID)
+			if retried.Parent != head.ID {
+				t.Fatalf("retried commit parent %d, want %d", retried.Parent, head.ID)
 			}
 			head = mountAndCheck(t, dir, "main")
 			if head == nil || head.ID != retried.ID {

@@ -9,32 +9,35 @@
 //
 // Layout under the lake root:
 //
-//	journal.lake        the commit journal (see journal.go)
+//	journal.lake        the commit journal (see journal.go), the lake's
+//	                    one record of history: a branch's head is its
+//	                    newest sealed frame
 //	objects/<sha>.ckpt  content-addressed snapshot files; <sha> is the
 //	                    checkpoint's SHA-256 integrity footer, i.e.
 //	                    the serving layer's generation id
-//	refs/<branch>       branch heads: a JSON {"commit": id} moved by
-//	                    atomic rename
 //
-// Commit protocol — three durable steps, in order:
+// Commit protocol — two durable steps, in order:
 //
-//  1. write the snapshot object (temp file, fsync, rename, dir fsync)
+//  1. write the snapshot object (checkpoint.WriteBytes: temp file,
+//     fsync, rename, dir fsync)
 //  2. append the commit frame to the journal (fsync'd, self-sealed)
-//  3. move the branch ref (temp file, fsync, rename, dir fsync)
 //
-// Every step is atomic and durable before the next begins, so a crash
-// at any point leaves the lake mountable: before step 3 the branch
-// head still names the previous commit (the new object and journal
-// frame are harmless orphans, collected by Compact), and after step 3
-// the new head is fully backed by a sealed object and journal entry.
-// A mount therefore yields either the previous or the new branch
-// head, never a torn commit — the kill-point tests walk every gap.
+// The frame's fsync is the commit point. A crash before it leaves the
+// branch head where it was (a new object is a harmless orphan,
+// collected by Compact); a crash mid-append leaves a torn frame that
+// every reader ignores and the next commit truncates; after it, the
+// new head is fully backed by a sealed frame and a durable object. A
+// mount therefore yields either the previous or the new branch head,
+// never a torn commit — the kill-point tests walk every gap.
+//
+// A refs/ directory, where older builds also kept each branch head,
+// is ignored and left in place.
 package lake
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,13 +93,11 @@ type Lake struct {
 // lake) but a torn tail is fine: it is repaired on the next commit.
 func Open(dir string) (*Lake, error) {
 	l := &Lake{dir: dir}
-	for _, d := range []string{l.objectsDir(), l.refsDir()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("lake: %w", err)
-		}
+	if err := os.MkdirAll(l.objectsDir(), 0o755); err != nil {
+		return nil, fmt.Errorf("lake: %w", err)
 	}
 	if _, err := os.Stat(l.journalPath()); os.IsNotExist(err) {
-		if err := atomicWrite(l.journalPath(), journalMagic[:]); err != nil {
+		if err := checkpoint.WriteBytes(l.journalPath(), journalMagic[:]); err != nil {
 			return nil, fmt.Errorf("lake: initializing journal: %w", err)
 		}
 	} else if err != nil {
@@ -118,7 +119,6 @@ func IsLake(dir string) bool {
 
 func (l *Lake) journalPath() string { return filepath.Join(l.dir, "journal.lake") }
 func (l *Lake) objectsDir() string  { return filepath.Join(l.dir, "objects") }
-func (l *Lake) refsDir() string     { return filepath.Join(l.dir, "refs") }
 
 // ObjectPath names the content-addressed snapshot file for a
 // generation. The caller gets the path, not the bytes, so the serving
@@ -127,7 +127,8 @@ func (l *Lake) ObjectPath(sha string) string {
 	return filepath.Join(l.objectsDir(), sha+".ckpt")
 }
 
-// validBranch holds branch names to ref-file-safe characters.
+// validBranch holds branch names to [a-zA-Z0-9._-], so a name reads
+// the same in a branch-or-run[@day] selector, a URL and a log line.
 func validBranch(name string) error {
 	if name == "" {
 		return fmt.Errorf("lake: empty branch name")
@@ -180,51 +181,38 @@ func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Co
 
 	// Step 1: the object. Content-addressed, so an identical snapshot
 	// already on disk (the same study re-committed, or two worker
-	// counts of one deterministic run) is simply reused.
+	// counts of one deterministic run) is reused — but only when its
+	// bytes still match: a damaged object is rewritten, so re-running
+	// the study repairs it.
 	objPath := l.ObjectPath(c.Snapshot)
-	if _, err := os.Stat(objPath); os.IsNotExist(err) {
-		if err := atomicWrite(objPath, data); err != nil {
+	if onDisk, err := os.ReadFile(objPath); err != nil || !bytes.Equal(onDisk, data) {
+		if err := checkpoint.WriteBytes(objPath, data); err != nil {
 			return nil, fmt.Errorf("lake: writing object: %w", err)
 		}
-	} else if err != nil {
-		return nil, fmt.Errorf("lake: %w", err)
 	}
 	if err := l.fail("object-written"); err != nil {
 		return nil, err
 	}
 
-	// Step 2: the journal frame. The commit id is allocated from the
-	// journal itself (max id + 1), so an orphan frame left by a crash
-	// before step 3 never collides with the retry's id. The same read
-	// yields the valid prefix the frame is appended after.
+	// Step 2: the journal frame, the commit point. One read yields the
+	// new id (max id + 1), the parent (the branch's newest frame) and
+	// the valid prefix the frame is appended after.
 	commits, validLen, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
 	for _, old := range commits {
-		if old.ID >= c.ID {
-			c.ID = old.ID + 1
+		c.ID = max(c.ID, old.ID)
+		if old.Branch == branch {
+			c.Parent = old.ID
 		}
 	}
-	if c.ID == 0 {
-		c.ID = 1
-	}
-	head, err := l.readRef(branch)
-	if err != nil {
-		return nil, err
-	}
-	c.Parent = head
+	c.ID++
 	if err := l.appendJournal(c, validLen); err != nil {
 		return nil, fmt.Errorf("lake: appending journal: %w", err)
 	}
 	if err := l.fail("journal-appended"); err != nil {
 		return nil, err
-	}
-
-	// Step 3: the branch-head move. Until this rename lands, every
-	// mount still resolves the previous head.
-	if err := l.writeRef(branch, c.ID); err != nil {
-		return nil, fmt.Errorf("lake: moving branch head: %w", err)
 	}
 	return c, nil
 }
@@ -239,69 +227,60 @@ func (l *Lake) CommitFile(branch, run string, seed int64, day int, path string) 
 	return l.Commit(branch, run, seed, day, data)
 }
 
-// refFile is the JSON body of refs/<branch>.
-type refFile struct {
-	Commit int64 `json:"commit"`
+// heads maps each branch that has a frame in commits to its head,
+// its newest frame.
+func heads(commits []*Commit) map[string]*Commit {
+	out := map[string]*Commit{}
+	for _, c := range commits {
+		out[c.Branch] = c
+	}
+	return out
 }
 
-// readRef returns the branch's head commit id, 0 when the branch does
-// not exist yet.
-func (l *Lake) readRef(branch string) (int64, error) {
-	b, err := os.ReadFile(filepath.Join(l.refsDir(), branch))
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("lake: %w", err)
-	}
-	var rf refFile
-	if err := json.Unmarshal(b, &rf); err != nil {
-		return 0, fmt.Errorf("lake: ref %s: %w", branch, err)
-	}
-	return rf.Commit, nil
-}
-
-// writeRef moves a branch head via the atomic-rename + fsync
-// discipline: a crash leaves either the old ref or the new one.
-func (l *Lake) writeRef(branch string, id int64) error {
-	return atomicWrite(filepath.Join(l.refsDir(), branch), []byte(fmt.Sprintf("{\"commit\": %d}\n", id)))
-}
-
-// Branches lists the lake's branch names, sorted.
-func (l *Lake) Branches() ([]string, error) {
-	entries, err := os.ReadDir(l.refsDir())
-	if err != nil {
-		return nil, fmt.Errorf("lake: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() && validBranch(e.Name()) == nil {
-			out = append(out, e.Name())
-		}
+// sortedBranches lists the branches of a heads map, sorted.
+func sortedBranches(hs map[string]*Commit) []string {
+	out := make([]string, 0, len(hs))
+	for br := range hs {
+		out = append(out, br)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
-// Head returns a branch's head commit, nil when the branch does not
-// exist. A ref naming a commit absent from the journal is an error:
-// the commit protocol makes that state unreachable by crash, so
-// finding it means the lake was tampered with or mis-copied.
-func (l *Lake) Head(branch string) (*Commit, error) {
-	id, err := l.readRef(branch)
-	if err != nil || id == 0 {
-		return nil, err
+// branchLog is Log over one read of the journal. A parent's frame
+// always precedes its child's, so one backward pass finds the chain.
+// It skips a frame no later commit names as its parent: in a lake
+// written by an older build, a commit that crashed before moving its
+// ref and was then retried.
+func branchLog(commits []*Commit, branch string) []*Commit {
+	var out []*Commit
+	for i := len(commits) - 1; i >= 0; i-- {
+		c := commits[i]
+		if (len(out) == 0 && c.Branch == branch) || (len(out) > 0 && c.ID == out[len(out)-1].Parent) {
+			out = append(out, c)
+		}
 	}
+	return out
+}
+
+// Branches lists the lake's branch names, sorted: every branch with a
+// frame in the journal.
+func (l *Lake) Branches() ([]string, error) {
 	commits, _, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range commits {
-		if c.ID == id {
-			return c, nil
-		}
+	return sortedBranches(heads(commits)), nil
+}
+
+// Head returns a branch's head commit, its newest frame in the
+// journal; nil when the branch does not exist.
+func (l *Lake) Head(branch string) (*Commit, error) {
+	commits, _, _, err := l.readJournal()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("lake: branch %s head names commit %d, absent from the journal", branch, id)
+	return heads(commits)[branch], nil
 }
 
 // Log returns a branch's commits, newest first, by walking parent
@@ -309,26 +288,11 @@ func (l *Lake) Head(branch string) (*Commit, error) {
 // longer holds (compacted away) — history older than the compaction
 // horizon is simply not listed.
 func (l *Lake) Log(branch string) ([]*Commit, error) {
-	head, err := l.Head(branch)
-	if err != nil || head == nil {
-		return nil, err
-	}
 	commits, _, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int64]*Commit, len(commits))
-	for _, c := range commits {
-		byID[c.ID] = c
-	}
-	var out []*Commit
-	for c := head; c != nil; c = byID[c.Parent] {
-		out = append(out, c)
-		if c.Parent == 0 {
-			break
-		}
-	}
-	return out, nil
+	return branchLog(commits, branch), nil
 }
 
 // Resolve is the time-travel lookup: the newest commit on branch with
@@ -336,10 +300,16 @@ func (l *Lake) Log(branch string) ([]*Commit, error) {
 // unknown branch or an asofDay before the branch's first commit is an
 // error naming what was asked.
 func (l *Lake) Resolve(branch string, asofDay int) (*Commit, error) {
-	log, err := l.Log(branch)
+	commits, _, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
+	return resolve(commits, branch, asofDay)
+}
+
+// resolve is Resolve over one read of the journal.
+func resolve(commits []*Commit, branch string, asofDay int) (*Commit, error) {
+	log := branchLog(commits, branch)
 	if len(log) == 0 {
 		return nil, fmt.Errorf("lake: no such branch %q", branch)
 	}
@@ -355,28 +325,23 @@ func (l *Lake) Resolve(branch string, asofDay int) (*Commit, error) {
 }
 
 // ResolveSelector resolves a serving selector to a commit: sel names
-// a branch when a ref by that name exists, otherwise the unique
-// branch whose head commit records Run == sel — so a client can say
-// "seed-42" without knowing which branch the run landed on. An
-// ambiguous run name (two branches, same run) is an error naming
-// both. asofDay selects along the branch as in Resolve.
+// a branch when the journal holds a branch by that name, otherwise
+// the unique branch whose head commit records Run == sel — so a
+// client can say "seed-42" without knowing which branch the run
+// landed on. An ambiguous run name (two branches, same run) is an
+// error naming both. asofDay selects along the branch as in Resolve.
 func (l *Lake) ResolveSelector(sel string, asofDay int) (*Commit, error) {
-	if validBranch(sel) == nil {
-		if _, err := os.Stat(filepath.Join(l.refsDir(), sel)); err == nil {
-			return l.Resolve(sel, asofDay)
-		}
-	}
-	branches, err := l.Branches()
+	commits, _, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
+	hs := heads(commits)
+	if hs[sel] != nil {
+		return resolve(commits, sel, asofDay)
+	}
 	match := ""
-	for _, br := range branches {
-		head, err := l.Head(br)
-		if err != nil {
-			return nil, err
-		}
-		if head != nil && head.Run == sel {
+	for _, br := range sortedBranches(hs) {
+		if hs[br].Run == sel {
 			if match != "" {
 				return nil, fmt.Errorf("lake: run %q is ambiguous (on branches %q and %q); select by branch", sel, match, br)
 			}
@@ -386,15 +351,15 @@ func (l *Lake) ResolveSelector(sel string, asofDay int) (*Commit, error) {
 	if match == "" {
 		return nil, fmt.Errorf("lake: no such branch or run %q", sel)
 	}
-	return l.Resolve(match, asofDay)
+	return resolve(commits, match, asofDay)
 }
 
 // Compact is the lake's garbage collector: it rewrites the journal
 // keeping only each branch's newest keep commits (keep <= 0 keeps
-// every reachable commit), drops orphan frames left by crashed
-// commits, and removes objects no kept commit references. Branch
-// heads are always kept, so a mount across a compaction never loses
-// its head.
+// every reachable commit), drops frames no branch's history reaches,
+// and removes objects no kept commit references, such as the orphan
+// of a commit that crashed before its frame. Branch heads are always
+// kept, so a mount across a compaction never loses its head.
 func (l *Lake) Compact(keep int) (droppedCommits, droppedObjects int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -403,29 +368,14 @@ func (l *Lake) Compact(keep int) (droppedCommits, droppedObjects int, err error)
 	if err != nil {
 		return 0, 0, err
 	}
-	branches, err := l.Branches()
-	if err != nil {
-		return 0, 0, err
-	}
-	byID := make(map[int64]*Commit, len(commits))
-	for _, c := range commits {
-		byID[c.ID] = c
-	}
 	keepIDs := map[int64]bool{}
-	for _, br := range branches {
-		id, err := l.readRef(br)
-		if err != nil {
-			return 0, 0, err
+	for br := range heads(commits) {
+		log := branchLog(commits, br)
+		if keep > 0 && len(log) > keep {
+			log = log[:keep]
 		}
-		n := 0
-		for c := byID[id]; c != nil; c = byID[c.Parent] {
+		for _, c := range log {
 			keepIDs[c.ID] = true
-			if n++; keep > 0 && n >= keep {
-				break
-			}
-			if c.Parent == 0 {
-				break
-			}
 		}
 	}
 
@@ -442,7 +392,7 @@ func (l *Lake) Compact(keep int) (droppedCommits, droppedObjects int, err error)
 		}
 	}
 	if droppedCommits > 0 {
-		if err := atomicWrite(l.journalPath(), buf); err != nil {
+		if err := checkpoint.WriteBytes(l.journalPath(), buf); err != nil {
 			return 0, 0, fmt.Errorf("lake: rewriting journal: %w", err)
 		}
 	}
@@ -463,39 +413,4 @@ func (l *Lake) Compact(keep int) (droppedCommits, droppedObjects int, err error)
 		droppedObjects++
 	}
 	return droppedCommits, droppedObjects, nil
-}
-
-// atomicWrite lands data at path with the lake's durability
-// discipline: temp file in the destination directory, fsync, chmod
-// 0644 (CreateTemp's 0600 would hide the lake from a daemon running
-// as another user), rename into place, fsync the directory.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return checkpoint.SyncDir(dir)
 }

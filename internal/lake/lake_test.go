@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,6 +110,138 @@ func TestLakeCommitAndResolve(t *testing.T) {
 	}
 }
 
+// lakeAnswers renders every read of a three-branch lake as text, so
+// two lakes' answers compare as strings: branches, each branch's head
+// and log, time travel along it, and selectors by branch and run.
+func lakeAnswers(l *Lake) []string {
+	show := func(v any, err error) string {
+		b, _ := json.Marshal(v)
+		return fmt.Sprintf("%s err=%v", b, err)
+	}
+	var out []string
+	out = append(out, show(l.Branches()))
+	for _, br := range []string{"main", "ablation", "sweep", "nope"} {
+		out = append(out, show(l.Head(br)), show(l.Log(br)))
+		for _, asof := range []int{-1, 9, 12, 25, 40} {
+			out = append(out, show(l.Resolve(br, asof)))
+		}
+	}
+	for _, sel := range []string{"main", "sweep", "seed-42", "no-probe", "seed-7", "nope"} {
+		out = append(out, show(l.ResolveSelector(sel, -1)), show(l.ResolveSelector(sel, 12)))
+	}
+	return out
+}
+
+// dirNames lists a directory's entry names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestLakeJournalIsTheRecord: journal.lake and objects/ are the whole
+// lake. A copy of the two answers every read as the original does, a
+// commit adds nothing beside them, and a refs/ directory an older
+// build left behind moves no head: the newest sealed frame is the
+// head even where a leftover ref names an older commit.
+func TestLakeJournalIsTheRecord(t *testing.T) {
+	src := t.TempDir()
+	l, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mustCommit(t, l, "main", "seed-42", 42, 10, "a")
+	mustCommit(t, l, "ablation", "no-probe", 42, 12, "b")
+	mustCommit(t, l, "main", "seed-42", 42, 20, "c")
+	mustCommit(t, l, "sweep", "seed-7", 7, 15, "d")
+	mustCommit(t, l, "main", "seed-42", 42, 30, "e")
+
+	dst := t.TempDir()
+	copyFile := func(rel string) {
+		b, err := os.ReadFile(filepath.Join(src, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, rel), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyFile("journal.lake")
+	if err := os.Mkdir(filepath.Join(dst, "objects"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range dirNames(t, filepath.Join(src, "objects")) {
+		copyFile(filepath.Join("objects", name))
+	}
+
+	lc, err := Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := lakeAnswers(l), lakeAnswers(lc)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d of the copy differs:\n%s\nvs the original\n%s", i, got[i], want[i])
+		}
+	}
+	if head, err := lc.Head("main"); err != nil || head == nil || head.Day != 30 {
+		t.Fatalf("copy's Head(main): %+v err=%v, want the day-30 commit", head, err)
+	}
+	next := mustCommit(t, lc, "main", "seed-42", 42, 40, "f")
+	if names := dirNames(t, dst); fmt.Sprint(names) != "[journal.lake objects]" {
+		t.Fatalf("lake directory after a commit holds %v, want only journal.lake and objects", names)
+	}
+
+	// An older build also kept refs/<branch>. A leftover ref naming an
+	// older commit, and one naming a branch with no frames, move
+	// nothing; a frame sealed by a commit that crashed before its ref
+	// moved is the head.
+	if err := os.Mkdir(filepath.Join(dst, "refs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for br, id := range map[string]int64{"main": first.ID, "ghost": first.ID} {
+		ref := fmt.Sprintf("{\"commit\": %d}\n", id)
+		if err := os.WriteFile(filepath.Join(dst, "refs", br), []byte(ref), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc.failpoint = func(stage string) error {
+		if stage == "journal-appended" {
+			return fmt.Errorf("injected crash")
+		}
+		return nil
+	}
+	if _, err := lc.Commit("main", "seed-42", 42, 50, snapshotBytes(50, "g")); err == nil {
+		t.Fatal("failpoint did not fire")
+	}
+	lr, err := Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := mountAndCheck(t, dst, "main")
+	if head == nil || head.Day != 50 || head.Parent != next.ID {
+		t.Fatalf("Head(main) with a leftover ref: %+v, want the day-50 tail frame on commit %d", head, next.ID)
+	}
+	if branches, err := lr.Branches(); err != nil || fmt.Sprint(branches) != "[ablation main sweep]" {
+		t.Fatalf("Branches with a leftover refs/: %v err=%v", branches, err)
+	}
+	log, err := lr.Log("main")
+	if err != nil || len(log) != 5 || log[4].ID != first.ID {
+		t.Fatalf("Log(main) with a leftover ref: %v err=%v", log, err)
+	}
+	mustCommit(t, lr, "main", "seed-42", 42, 60, "h")
+	if names := dirNames(t, dst); fmt.Sprint(names) != "[journal.lake objects refs]" {
+		t.Fatalf("lake directory holds %v, want the leftover refs/ left in place", names)
+	}
+}
+
 func TestLakeRefusesCorruptCommit(t *testing.T) {
 	l, err := Open(t.TempDir())
 	if err != nil {
@@ -136,16 +269,15 @@ func TestLakeCompact(t *testing.T) {
 	}
 	side := mustCommit(t, l, "side", "r2", 2, 1, "side")
 
-	// An orphan frame (crashed commit: journal appended, ref never
-	// moved) must be collected too.
-	orphanData := snapshotBytes(99, "orphan")
+	// An orphan object (a commit that crashed before its journal
+	// frame) must be collected too.
 	l.failpoint = func(stage string) error {
-		if stage == "journal-appended" {
+		if stage == "object-written" {
 			return fmt.Errorf("injected crash")
 		}
 		return nil
 	}
-	if _, err := l.Commit("main", "r", 1, 99, orphanData); err == nil {
+	if _, err := l.Commit("main", "r", 1, 99, snapshotBytes(99, "orphan")); err == nil {
 		t.Fatal("failpoint did not fire")
 	}
 	l.failpoint = nil
@@ -155,9 +287,10 @@ func TestLakeCompact(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	// Kept: main's newest 2 (days 4, 5) + side's 1. Dropped frames:
-	// days 1..3 and the orphan. Dropped objects: those four snapshots.
-	if droppedCommits != 4 || droppedObjects != 4 {
-		t.Fatalf("Compact dropped %d commits, %d objects; want 4, 4", droppedCommits, droppedObjects)
+	// days 1..3. Dropped objects: those three snapshots and the
+	// orphan.
+	if droppedCommits != 3 || droppedObjects != 4 {
+		t.Fatalf("Compact dropped %d commits, %d objects; want 3, 4", droppedCommits, droppedObjects)
 	}
 
 	log, err := l.Log("main")
@@ -196,7 +329,7 @@ func TestLakeObjectsWorldReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustCommit(t, l, "main", "r", 1, 2, "perm")
-	for _, p := range []string{l.ObjectPath(c.Snapshot), l.journalPath(), filepath.Join(l.refsDir(), "main")} {
+	for _, p := range []string{l.ObjectPath(c.Snapshot), l.journalPath()} {
 		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)

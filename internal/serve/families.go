@@ -63,23 +63,14 @@ func attackVocabulary(ps spec.ProtocolSpec) []string {
 }
 
 // handleFamilies serves GET /v1/families: the spec registry joined
-// with per-family dataset counts. Uncached — the registry can grow at
-// runtime (scenario-pack spec overrides), so rows must not outlive a
-// registration the way snapshot-keyed cache entries would. Like the
-// cached endpoints it answers from the mounted store unless a
-// selector names another generation.
-func (s *Server) handleFamilies(r *http.Request, sp *redplane.Span) (any, *httpError) {
+// with per-family dataset counts. Cached like every store endpoint:
+// the registry is fixed once the daemon is up — only world.Generate
+// registers spec overrides, and malnetd never generates a world — so
+// a generation's rows never change.
+func (s *Server) handleFamilies(st *Store, r *http.Request, sp *redplane.Span) (any, *httpError) {
 	if herr := checkParams(r); herr != nil {
 		return nil, herr
 	}
-	st := s.Store()
-	if hasSelector(r.URL.RawQuery) {
-		var herr *httpError
-		if st, herr = s.storeForSelector(r); herr != nil {
-			return nil, herr
-		}
-	}
-
 	counts := st.FamilyCounts()
 	samples := make(map[string]int, len(counts))
 	for _, c := range counts {

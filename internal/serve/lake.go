@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"malnet/internal/core"
 	"malnet/internal/lake"
 	"malnet/internal/obs/redplane"
 )
@@ -103,16 +102,7 @@ func (s *Server) storeForCommit(c *lake.Commit) (*Store, *httpError) {
 	e.touch = s.residentTick
 	s.residentMu.Unlock()
 
-	e.once.Do(func() {
-		ss, reg, err := core.OpenSnapshotAt(s.lk.ObjectPath(c.Snapshot))
-		if err != nil {
-			e.err = err
-			return
-		}
-		st := BuildStore(ss, reg)
-		st.Run = c.Run
-		e.store = st
-	})
+	e.once.Do(func() { e.store, e.err = s.openStore(c) })
 	if e.err != nil {
 		// A failed build must not stay resident: the object may be
 		// mid-GC or the error transient, and a poisoned entry would
@@ -146,14 +136,21 @@ func (s *Server) evictOldestLocked() {
 // request span, and JSON encoding — but no response cache: /v1/runs
 // and /v1/diff read the journal, which can grow without any
 // generation turnover, so generation-keyed caching would serve stale
-// history.
+// history. Both read the whole journal, so a run= or asof= selector,
+// even a bare one, is a 400 rather than silently ignored.
 func (s *Server) uncached(name string, fn func(r *http.Request, sp *redplane.Span) (any, *httpError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 
 		sp := s.red.Start(name, requestPath(r), "")
-		v, herr := fn(r, sp)
+		var v any
+		var herr *httpError
+		if q := r.URL.Query(); q.Has("run") || q.Has("asof") {
+			herr = badRequest("/v1/%s takes no run= or asof= selector", name)
+		} else {
+			v, herr = fn(r, sp)
+		}
 		if herr != nil {
 			b, _ := json.Marshal(map[string]string{"error": herr.msg})
 			finishJSON(w, sp, herr.status, append(b, '\n'))

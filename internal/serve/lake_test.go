@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -304,6 +305,13 @@ func TestServeLakeRunsAndDiff(t *testing.T) {
 		{"/v1/diff?a=main@x&b=main", http.StatusBadRequest},
 		{"/v1/runs?limit=0", http.StatusBadRequest},
 		{"/v1/runs?cursor=1", http.StatusBadRequest},
+		// Both endpoints read the whole journal: a selector is refused,
+		// a bare one too, never ignored.
+		{"/v1/runs?limit=1&asof=5", http.StatusBadRequest},
+		{"/v1/runs?run=main", http.StatusBadRequest},
+		{"/v1/runs?run", http.StatusBadRequest},
+		{"/v1/diff?a=main@5&b=main&run=nope", http.StatusBadRequest},
+		{"/v1/diff?a=main&b=main&asof", http.StatusBadRequest},
 	} {
 		status, body := get(t, ts, tc.path)
 		if status != tc.status {
@@ -362,9 +370,8 @@ func TestServeLakeReload(t *testing.T) {
 	if _, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, f.finalObject); err != nil {
 		t.Fatal(err)
 	}
-	// Until Reload runs, /v1/families — uncached, so it reads the
-	// server on every request — answers the mounted generation like
-	// every cached endpoint, and builds no store for the new head.
+	// Until Reload runs, /v1/families answers the mounted generation
+	// like every endpoint, and builds no store for the new head.
 	var fam headlineResp
 	getOK(t, ts, "/v1/families", &fam)
 	if fam.Generation != before.Generation || fam.Day != before.Day {
@@ -387,5 +394,75 @@ func TestServeLakeReload(t *testing.T) {
 	getOK(t, ts, fmt.Sprintf("/v1/headline?asof=%d", f.midDay), &old)
 	if old.Generation != before.Generation {
 		t.Fatalf("old generation unreachable after reload: %.12s vs %.12s", old.Generation, before.Generation)
+	}
+}
+
+// TestServeLakeReloadDamagedObject: a branch head whose object is
+// damaged on disk never mounts. Reload fails and counts, the mounted
+// generation keeps serving, a selector naming the damaged generation
+// gets a 500 that names it, and re-committing the same snapshot (a
+// deterministic re-run) repairs the object, so the next Reload mounts
+// it.
+func TestServeLakeReloadDamagedObject(t *testing.T) {
+	f := buildLakeFixture(t, 2)
+	dir := filepath.Join(t.TempDir(), "lake")
+	l, err := lake.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.CommitFile("main", "r", fixtureSeed, f.midDay, f.midObject); err != nil {
+		t.Fatal(err)
+	}
+	wall := obs.NewWall()
+	srv, err := New(dir, wall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	mounted := srv.Store().Generation
+
+	final, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, f.finalObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := l.ObjectPath(final.Snapshot)
+	b, err := os.ReadFile(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(obj, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if changed, err := srv.Reload(); err == nil || changed {
+		t.Fatalf("reload onto a damaged object: changed=%v err=%v", changed, err)
+	}
+	if got := srv.Store().Generation; got != mounted {
+		t.Fatalf("failed reload swapped the store to %.12s, want %.12s kept", got, mounted)
+	}
+	if status, body := get(t, ts, "/v1/headline"); status != http.StatusOK {
+		t.Fatalf("GET /v1/headline after a failed reload: status %d (%s)", status, body)
+	}
+	if status, body := get(t, ts, "/v1/headline?run=main"); status != http.StatusInternalServerError || !strings.Contains(string(body), final.Snapshot) {
+		t.Fatalf("GET /v1/headline?run=main on a damaged head: status %d, want 500 naming %s: %s", status, final.Snapshot, body)
+	}
+	var prom bytes.Buffer
+	if err := wall.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\nmalnet_serve_reload_errors_total 1\n") {
+		t.Fatalf("/metrics wall section does not count the failed reload:\n%s", prom.String())
+	}
+
+	if _, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, f.finalObject); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := srv.Reload(); err != nil || !changed {
+		t.Fatalf("reload after re-committing the snapshot: changed=%v err=%v", changed, err)
+	}
+	if got := srv.Store().Generation; got != final.Snapshot {
+		t.Fatalf("store after repair: %.12s, want %.12s", got, final.Snapshot)
 	}
 }

@@ -39,7 +39,8 @@ type Server struct {
 	resident     map[string]*residentStore
 	residentTick int64
 
-	inflight atomic.Int64
+	inflight     atomic.Int64
+	reloadErrors atomic.Int64
 
 	// Response cache, read-through, keyed by (store generation,
 	// normalized query). Entries never go stale — a generation's
@@ -91,9 +92,9 @@ const maxCacheEntries = 4096
 // lake is refused, never turned into one.
 //
 // Wall exposition: levels (requests_in_flight, resident_stores) are
-// gauges; monotone totals (cache_hits, cache_misses, cache_coalesced)
-// are counters — see DESIGN.md's /metrics table. Store swaps are the
-// red plane's store_swaps_total.
+// gauges; monotone totals (cache_hits, cache_misses, cache_coalesced,
+// reload_errors) are counters — see DESIGN.md's /metrics table. Store
+// swaps are the red plane's store_swaps_total.
 func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
 	if !lake.IsLake(dir) {
 		return nil, fmt.Errorf("serve: %s is not a run lake (no journal.lake)", dir)
@@ -122,6 +123,7 @@ func New(dir string, wall *obs.Wall, opts ...Option) (*Server, error) {
 	wall.SetCounter("serve.cache_hits", s.hits.Load)
 	wall.SetCounter("serve.cache_misses", s.misses.Load)
 	wall.SetCounter("serve.cache_coalesced", s.coalesced.Load)
+	wall.SetCounter("serve.reload_errors", s.reloadErrors.Load)
 	wall.SetGauge("serve.resident_stores", func() int64 {
 		s.residentMu.Lock()
 		defer s.residentMu.Unlock()
@@ -139,12 +141,14 @@ func (s *Server) Store() *Store { return s.store.Load() }
 // against the old store; the response cache starts over. Returns
 // whether a swap happened. A branch that doesn't exist yet is
 // "nothing to serve", not an error — the daemon's reload ticker keeps
-// watching for the first commit. Safe to call concurrently with
-// requests (though the daemon calls it from a single ticker
+// watching for the first commit. A failed reload keeps the mounted
+// store and counts in serve.reload_errors. Safe to call concurrently
+// with requests (though the daemon calls it from a single ticker
 // goroutine).
 func (s *Server) Reload() (bool, error) {
 	head, err := s.lk.Head(s.branch)
 	if err != nil {
+		s.reloadErrors.Add(1)
 		return false, fmt.Errorf("serve: %w", err)
 	}
 	if head == nil {
@@ -153,18 +157,28 @@ func (s *Server) Reload() (bool, error) {
 	if cur := s.store.Load(); cur != nil && cur.Generation == head.Snapshot {
 		return false, nil
 	}
-	ss, reg, err := core.OpenSnapshotAt(s.lk.ObjectPath(head.Snapshot))
+	st, err := s.openStore(head)
 	if err != nil {
+		s.reloadErrors.Add(1)
 		return false, fmt.Errorf("serve: %w", err)
 	}
-	st := BuildStore(ss, reg)
-	st.Run = head.Run
 	s.store.Store(st)
 	s.red.StoreSwapped()
 	s.mu.Lock()
 	s.cache = map[string][]byte{}
 	s.mu.Unlock()
 	return true, nil
+}
+
+// openStore opens a commit's lake object and builds its store.
+func (s *Server) openStore(c *lake.Commit) (*Store, error) {
+	ss, reg, err := core.OpenSnapshotAt(s.lk.ObjectPath(c.Snapshot))
+	if err != nil {
+		return nil, err
+	}
+	st := BuildStore(ss, reg)
+	st.Run = c.Run
+	return st, nil
 }
 
 // Handler returns the /v1 API handler. The endpoint labels handed to
@@ -180,7 +194,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/c2", s.cached("c2_index", s.handleC2Index))
 	mux.HandleFunc("GET /v1/c2/{addr}", s.cached("c2_point", s.handleC2))
 	mux.HandleFunc("GET /v1/query", s.cached("query", s.handleQuery))
-	mux.HandleFunc("GET /v1/families", s.uncached("families", s.handleFamilies))
+	mux.HandleFunc("GET /v1/families", s.cached("families", s.handleFamilies))
 	mux.HandleFunc("GET /v1/runs", s.uncached("runs", s.handleRuns))
 	mux.HandleFunc("GET /v1/diff", s.uncached("diff", s.handleDiff))
 	return mux
@@ -419,8 +433,8 @@ func page(r *http.Request) (limit, cursor int, herr *httpError) {
 
 // checkParams rejects unknown query parameters: a typoed filter that
 // silently matches everything is worse than a 400. The run= and
-// asof= selectors are valid on every endpoint (consumed by the cached
-// wrapper, or by handleFamilies, before the handler reads its own).
+// asof= selectors pass: the cached wrapper consumes them before the
+// handler reads its own, and uncached refuses them first.
 func checkParams(r *http.Request, known ...string) *httpError {
 	for k := range r.URL.Query() {
 		if k == "run" || k == "asof" {

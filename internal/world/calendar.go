@@ -36,11 +36,12 @@ func isoWeekStart(year, week int) time.Time {
 	return week1Monday.AddDate(0, 0, (week-1)*7)
 }
 
-// Calendar returns the 31 study weeks per Appendix E: study week 1
-// is 2021 ISO week 14; weeks 2–11 map to 2021 weeks 24–33; weeks
-// 12–20 map to 2021 weeks 44–52; weeks 21–31 map to 2022 weeks 2–12.
-// The gaps are the paper's service disruptions / empty weeks.
-func Calendar() []StudyWeek {
+// calendar is the 31 study weeks per Appendix E: study week 1 is 2021
+// ISO week 14; weeks 2–11 map to 2021 weeks 24–33; weeks 12–20 map to
+// 2021 weeks 44–52; weeks 21–31 map to 2022 weeks 2–12. The gaps are
+// the paper's service disruptions / empty weeks. Built once: the
+// study asks StudyEnd every day and WeekOf every sample.
+var calendar = func() []StudyWeek {
 	var out []StudyWeek
 	add := func(year, isoWeek int) {
 		out = append(out, StudyWeek{Num: len(out) + 1, Start: isoWeekStart(year, isoWeek)})
@@ -56,15 +57,18 @@ func Calendar() []StudyWeek {
 		add(2022, w)
 	}
 	return out
-}
+}()
+
+// Calendar returns a copy of the 31 study weeks, so no caller can
+// change the shared ones.
+func Calendar() []StudyWeek { return append([]StudyWeek(nil), calendar...) }
 
 // StudyStart is the first day samples can appear.
-func StudyStart() time.Time { return Calendar()[0].Start }
+func StudyStart() time.Time { return calendar[0].Start }
 
 // StudyEnd is the day after the last study week.
 func StudyEnd() time.Time {
-	cal := Calendar()
-	return cal[len(cal)-1].Start.AddDate(0, 0, 7)
+	return calendar[len(calendar)-1].Start.AddDate(0, 0, 7)
 }
 
 // May7 is the second threat-intelligence query date (§2.3a).
@@ -73,7 +77,7 @@ var May7 = time.Date(2022, 5, 7, 0, 0, 0, 0, time.UTC)
 // WeekOf maps a date to its study week number, or 0 when the date
 // falls in a calendar gap.
 func WeekOf(t time.Time) int {
-	for _, w := range Calendar() {
+	for _, w := range calendar {
 		if !t.Before(w.Start) && t.Before(w.Start.AddDate(0, 0, 7)) {
 			return w.Num
 		}

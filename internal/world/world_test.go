@@ -631,3 +631,23 @@ func TestGroundTruthExport(t *testing.T) {
 		}
 	}
 }
+
+// TestCalendarAllocatesNothing: the study asks StudyEnd every day and
+// WeekOf every sample, so neither may rebuild the calendar.
+func TestCalendarAllocatesNothing(t *testing.T) {
+	mid := Calendar()[20].Start.AddDate(0, 0, 3)
+	for name, fn := range map[string]func(){
+		"StudyStart": func() { _ = StudyStart() },
+		"StudyEnd":   func() { _ = StudyEnd() },
+		"WeekOf":     func() { _ = WeekOf(mid) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+	cal := Calendar()
+	cal[0].Num = 99
+	if Calendar()[0].Num != 1 {
+		t.Fatal("a caller's edit to Calendar() changed the shared weeks")
+	}
+}

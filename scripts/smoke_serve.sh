@@ -141,7 +141,7 @@ fi
 
 # The one page carries the wall and runtime sections beside the red
 # plane's, and the JSON surfaces it replaced are gone.
-for family in go_memstats_mallocs_total malnet_serve_cache_hits_total malnet_serve_requests_in_flight; do
+for family in go_memstats_mallocs_total malnet_serve_cache_hits_total malnet_serve_requests_in_flight malnet_serve_reload_errors_total; do
   if ! grep -Eq "^$family [0-9]" "$tmp/metrics"; then
     echo "smoke: /metrics has no $family line" >&2
     status=1
