@@ -21,6 +21,8 @@
 // destination directory and are os.Rename'd into place, so a crash
 // mid-write can never leave a half-written day-NNN.ckpt to resume
 // from (tools/vettime lints this package for exactly that pattern).
+// LinkBytes places a file the same way, as a hard link of one already
+// on disk; internal/lake commits checkpoint files with it.
 package checkpoint
 
 import (

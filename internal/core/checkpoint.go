@@ -169,11 +169,14 @@ func dayIndex(day time.Time) int {
 // the merge goroutine, so every field it reads is quiescent. The
 // journal is flushed first: Rewind truncates the trace file to the
 // checkpointed byte count, which is only meaningful if those bytes
-// had reached the file.
+// had reached the file. Two Wall stages time it: checkpoint.write
+// (sections, encode, write, prune) and checkpoint.publish (the
+// OnCheckpoint callback, a lake commit under -lake-dir).
 func (st *Study) saveCheckpoint(dayIdx int) error {
 	fail := func(err error) error {
 		return fmt.Errorf("checkpoint day %d: %w", dayIdx, err)
 	}
+	stop := st.obs.Wall.Timer("checkpoint.write")
 	if j := st.obs.Journal; j != nil {
 		if err := j.Flush(); err != nil {
 			return fail(err)
@@ -222,8 +225,12 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 	if err := checkpoint.Prune(st.Cfg.Durability.Dir, dayIdx); err != nil {
 		return fail(err)
 	}
+	stop()
 	if cb := st.Cfg.Durability.OnCheckpoint; cb != nil {
-		if err := cb(dayIdx, path); err != nil {
+		stop = st.obs.Wall.Timer("checkpoint.publish")
+		err := cb(dayIdx, path)
+		stop()
+		if err != nil {
 			return fail(err)
 		}
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -352,5 +354,42 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		if !strings.Contains(err.Error(), field) {
 			t.Fatalf("mismatch error does not name %q: %v", field, err)
 		}
+	}
+}
+
+// TestCheckpointWallStages: a durable -short study times every
+// checkpoint on the Wall in two stages, the write (sections, encode,
+// write, prune) and the publish (OnCheckpoint), and /metrics renders
+// each with one count per checkpoint written. The Wall stays out of
+// the deterministic registry.
+func TestCheckpointWallStages(t *testing.T) {
+	wcfg := world.DefaultConfig(42)
+	wcfg.TotalSamples = 150
+	scfg := Defaults(42)
+	scfg.Analysis.ProbeRounds = 12
+	scfg.Observability.Obs = obs.NewObserver()
+	written := 0
+	scfg.Durability = CheckpointConfig{Dir: t.TempDir(), OnCheckpoint: func(int, string) error {
+		written++
+		return nil
+	}}
+	st, err := RunStudyContext(context.Background(), world.Generate(wcfg), scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written == 0 {
+		t.Fatal("the durable study wrote no checkpoint")
+	}
+	var prom bytes.Buffer
+	if err := st.Obs().Wall.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"malnet_checkpoint_write_seconds", "malnet_checkpoint_publish_seconds"} {
+		if !strings.Contains(prom.String(), "\n"+m+"_sum ") || !strings.Contains(prom.String(), fmt.Sprintf("\n%s_count %d\n", m, written)) {
+			t.Fatalf("/metrics lacks %s_sum, or its _count is not the %d checkpoints written:\n%s", m, written, prom.String())
+		}
+	}
+	if snap := st.Metrics().Snapshot(); strings.Contains(snap, "checkpoint.") {
+		t.Fatalf("a checkpoint Wall stage reached the deterministic snapshot:\n%s", snap)
 	}
 }

@@ -48,20 +48,39 @@ func mountAndCheck(t *testing.T, dir, branch string) *Commit {
 // every point, a fresh mount must yield either the previous or the
 // new branch head — never a torn commit or an invalid reference —
 // and a retried commit must land cleanly on the head the crash left.
+// The linked cases commit a checkpoint file, whose object is a hard
+// link of it: Compact then removes an orphaned object's lake name
+// only, and the file still decodes to the snapshot.
 func TestLakeKillPoints(t *testing.T) {
 	for _, tc := range []struct {
-		stage string
+		name, stage string
 		// committed: the crash came after the commit point, the
 		// journal frame's fsync.
 		committed bool
-	}{{"object-written", false}, {"journal-appended", true}} {
-		t.Run(tc.stage, func(t *testing.T) {
+		// linked: the crashed and the retried commit are CommitFile
+		// calls on a checkpoint.WriteFile'd file.
+		linked bool
+	}{
+		{"object-written", "object-written", false, false},
+		{"journal-appended", "journal-appended", true, false},
+		{"object-written-linked", "object-written", false, true},
+		{"journal-appended-linked", "journal-appended", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := mustCommit(t, l, "main", "r", 1, 10, "base")
+			src := checkpoint.DayPath(t.TempDir(), 20)
+			writeSnapshot(t, src, 20, "next")
+			commitNext := func(l *Lake) (*Commit, error) {
+				if tc.linked {
+					return l.CommitFile("main", "r", 1, 20, src)
+				}
+				return l.Commit("main", "r", 1, 20, snapshotBytes(20, "next"))
+			}
 
 			l.failpoint = func(s string) error {
 				if s == tc.stage {
@@ -69,7 +88,7 @@ func TestLakeKillPoints(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := l.Commit("main", "r", 1, 20, snapshotBytes(20, "next")); err == nil {
+			if _, err := commitNext(l); err == nil {
 				t.Fatalf("failpoint %s did not fire", tc.stage)
 			}
 
@@ -89,13 +108,37 @@ func TestLakeKillPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			retried := mustCommit(t, l2, "main", "r", 1, 20, "next")
+			if tc.linked {
+				next, err := checkpoint.Decode(snapshotBytes(20, "next"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj := l2.ObjectPath(next.SumHex())
+				if !sameFile(t, src, obj) {
+					t.Fatalf("after crash at %s: object %s is not a link of %s", tc.stage, obj, src)
+				}
+				wantObjects := 0
+				if !tc.committed {
+					wantObjects = 1
+				}
+				if commits, objects, err := l2.Compact(0); err != nil || commits != 0 || objects != wantObjects {
+					t.Fatalf("Compact after crash at %s dropped %d commits, %d objects (err=%v); want 0, %d", tc.stage, commits, objects, err, wantObjects)
+				}
+				decodesTo(t, src, next.SumHex())
+			}
+			retried, err := commitNext(l2)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if retried.Parent != head.ID {
 				t.Fatalf("retried commit parent %d, want %d", retried.Parent, head.ID)
 			}
 			head = mountAndCheck(t, dir, "main")
 			if head == nil || head.ID != retried.ID {
 				t.Fatalf("after retry: head %+v, want %d", head, retried.ID)
+			}
+			if tc.linked && !sameFile(t, src, l2.ObjectPath(retried.Snapshot)) {
+				t.Fatalf("after retry: object is not a link of %s", src)
 			}
 		})
 	}

@@ -18,8 +18,11 @@
 //
 // Commit protocol — two durable steps, in order:
 //
-//  1. write the snapshot object (checkpoint.WriteBytes: temp file,
-//     fsync, rename, dir fsync)
+//  1. place the snapshot object: CommitFile hard-links the checkpoint
+//     file it read (checkpoint.LinkBytes: link to a temp name, fsync,
+//     rename, dir fsync), and Commit, or a link that cannot be made,
+//     writes the bytes (checkpoint.WriteBytes: temp file, fsync,
+//     rename, dir fsync)
 //  2. append the commit frame to the journal (fsync'd, self-sealed)
 //
 // The frame's fsync is the commit point. A crash before it leaves the
@@ -30,6 +33,12 @@
 // mount therefore yields either the previous or the new branch head,
 // never a torn commit — the kill-point tests walk every gap.
 //
+// A linked object and the checkpoint file it was committed from are
+// one file under two names, so a committed checkpoint file must never
+// be modified in place. Replacing it (checkpoint.WriteFile renames a
+// new file over it) or removing it (checkpoint.Prune) leaves the
+// object whole.
+//
 // A refs/ directory, where older builds also kept each branch head,
 // is ignored and left in place.
 package lake
@@ -39,6 +48,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,7 +83,7 @@ type Commit struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// Lake is a mounted lake directory. Reads (Head, Log, Resolve,
+// Lake is a mounted lake directory. Reads (Head, Log, Logs, Resolve,
 // Branches) are safe concurrently with a writer; Commit and Compact
 // serialize through an in-process mutex — the lake assumes one
 // writing process, like the checkpoint directory it grew from.
@@ -157,6 +167,37 @@ func (l *Lake) fail(stage string) error {
 // checkpoint (decoded here, which both verifies the integrity footer
 // and yields the content address). Returns the new branch head.
 func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Commit, error) {
+	return l.commit(branch, run, seed, day, data, nil)
+}
+
+// CommitFile commits the checkpoint at path (e.g. a day-NNN.ckpt the
+// study just wrote). A missing or damaged object is placed as a hard
+// link of that file rather than a copy (checkpoint.LinkBytes), so the
+// file must never be modified in place afterwards: the object would
+// change with it. Where the link cannot be made the bytes are written.
+func (l *Lake) CommitFile(branch, run string, seed int64, day int, path string) (*Commit, error) {
+	src, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("lake: %w", err)
+	}
+	defer src.Close()
+	// Sized from the handle, as os.ReadFile sizes its buffer: the bytes
+	// verified are the bytes of the inode the object will link.
+	fi, err := src.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("lake: %w", err)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(src, data); err != nil {
+		return nil, fmt.Errorf("lake: reading %s: %w", path, err)
+	}
+	return l.commit(branch, run, seed, day, data, src)
+}
+
+// commit is Commit with the source of data: the open checkpoint file
+// it was read from, whose inode a placed object links, or nil to write
+// data.
+func (l *Lake) commit(branch, run string, seed int64, day int, data []byte, src *os.File) (*Commit, error) {
 	if err := validBranch(branch); err != nil {
 		return nil, err
 	}
@@ -182,12 +223,17 @@ func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Co
 	// Step 1: the object. Content-addressed, so an identical snapshot
 	// already on disk (the same study re-committed, or two worker
 	// counts of one deterministic run) is reused — but only when its
-	// bytes still match: a damaged object is rewritten, so re-running
+	// bytes still match: a damaged object is replaced, so re-running
 	// the study repairs it.
 	objPath := l.ObjectPath(c.Snapshot)
 	if onDisk, err := os.ReadFile(objPath); err != nil || !bytes.Equal(onDisk, data) {
-		if err := checkpoint.WriteBytes(objPath, data); err != nil {
-			return nil, fmt.Errorf("lake: writing object: %w", err)
+		if src != nil {
+			err = checkpoint.LinkBytes(objPath, src, data)
+		} else {
+			err = checkpoint.WriteBytes(objPath, data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lake: placing object: %w", err)
 		}
 	}
 	if err := l.fail("object-written"); err != nil {
@@ -217,16 +263,6 @@ func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Co
 	return c, nil
 }
 
-// CommitFile commits the checkpoint at path (e.g. a day-NNN.ckpt the
-// study just wrote).
-func (l *Lake) CommitFile(branch, run string, seed int64, day int, path string) (*Commit, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("lake: %w", err)
-	}
-	return l.Commit(branch, run, seed, day, data)
-}
-
 // heads maps each branch that has a frame in commits to its head,
 // its newest frame.
 func heads(commits []*Commit) map[string]*Commit {
@@ -237,10 +273,10 @@ func heads(commits []*Commit) map[string]*Commit {
 	return out
 }
 
-// sortedBranches lists the branches of a heads map, sorted.
-func sortedBranches(hs map[string]*Commit) []string {
-	out := make([]string, 0, len(hs))
-	for br := range hs {
+// sortedBranches lists the keys of a map by branch, sorted.
+func sortedBranches[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for br := range m {
 		out = append(out, br)
 	}
 	sort.Strings(out)
@@ -263,14 +299,25 @@ func branchLog(commits []*Commit, branch string) []*Commit {
 	return out
 }
 
-// Branches lists the lake's branch names, sorted: every branch with a
-// frame in the journal.
-func (l *Lake) Branches() ([]string, error) {
+// Logs returns every branch's Log, keyed by branch name, from one
+// read of the journal, so no two branches are listed from different
+// journal states. Every branch with a frame in the journal has a key.
+func (l *Lake) Logs() (map[string][]*Commit, error) {
 	commits, _, _, err := l.readJournal()
 	if err != nil {
 		return nil, err
 	}
-	return sortedBranches(heads(commits)), nil
+	out := map[string][]*Commit{}
+	for br := range heads(commits) {
+		out[br] = branchLog(commits, br)
+	}
+	return out, nil
+}
+
+// Branches lists the lake's branch names, sorted: the keys of Logs.
+func (l *Lake) Branches() ([]string, error) {
+	logs, err := l.Logs()
+	return sortedBranches(logs), err
 }
 
 // Head returns a branch's head commit, its newest frame in the
@@ -286,13 +333,10 @@ func (l *Lake) Head(branch string) (*Commit, error) {
 // Log returns a branch's commits, newest first, by walking parent
 // links from the head. The walk stops at a parent the journal no
 // longer holds (compacted away) — history older than the compaction
-// horizon is simply not listed.
+// horizon is simply not listed. It is Logs' entry for branch.
 func (l *Lake) Log(branch string) ([]*Commit, error) {
-	commits, _, _, err := l.readJournal()
-	if err != nil {
-		return nil, err
-	}
-	return branchLog(commits, branch), nil
+	logs, err := l.Logs()
+	return logs[branch], err
 }
 
 // Resolve is the time-travel lookup: the newest commit on branch with

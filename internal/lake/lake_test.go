@@ -5,19 +5,61 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"malnet/internal/checkpoint"
 )
 
-// snapshotBytes fabricates a sealed checkpoint whose content (and
-// therefore generation id) is a function of day and tag.
-func snapshotBytes(day int, tag string) []byte {
+// snapshotFile fabricates a checkpoint whose content (and therefore
+// generation id) is a function of day and tag.
+func snapshotFile(day int, tag string) *checkpoint.File {
 	f := &checkpoint.File{}
 	f.Add("fingerprint", []byte(`{"cfg":"`+tag+`"}`))
 	f.Add("meta", []byte(fmt.Sprintf(`{"day":%d}`, day)))
 	f.Add("datasets", []byte(`{"samples":[],"tag":"`+tag+`"}`))
-	return checkpoint.Encode(f)
+	return f
+}
+
+// snapshotBytes is snapshotFile sealed.
+func snapshotBytes(day int, tag string) []byte {
+	return checkpoint.Encode(snapshotFile(day, tag))
+}
+
+// writeSnapshot writes snapshotFile(day, tag) to path as the study
+// writes its checkpoints, with checkpoint.WriteFile.
+func writeSnapshot(t *testing.T, path string, day int, tag string) {
+	t.Helper()
+	if err := checkpoint.WriteFile(path, snapshotFile(day, tag)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameFile reports whether two paths name one inode.
+func sameFile(t *testing.T, a, b string) bool {
+	t.Helper()
+	fa, err := os.Stat(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := os.Stat(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return os.SameFile(fa, fb)
+}
+
+// decodesTo fails the test unless the checkpoint at path decodes to
+// generation sha.
+func decodesTo(t *testing.T, path, sha string) {
+	t.Helper()
+	f, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if f.SumHex() != sha {
+		t.Fatalf("%s decodes to generation %s, want %s", path, f.SumHex(), sha)
+	}
 }
 
 func mustCommit(t *testing.T, l *Lake, branch, run string, seed int64, day int, tag string) *Commit {
@@ -110,6 +152,142 @@ func TestLakeCommitAndResolve(t *testing.T) {
 	}
 }
 
+// threeBranchLake commits three branches into a lake at dir: main
+// (days 10, 20, 30), ablation (day 12) and sweep (day 15), with main's
+// first commit returned.
+func threeBranchLake(t *testing.T, dir string) (l *Lake, first *Commit) {
+	t.Helper()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = mustCommit(t, l, "main", "seed-42", 42, 10, "a")
+	mustCommit(t, l, "ablation", "no-probe", 42, 12, "b")
+	mustCommit(t, l, "main", "seed-42", 42, 20, "c")
+	mustCommit(t, l, "sweep", "seed-7", 7, 15, "d")
+	mustCommit(t, l, "main", "seed-42", 42, 30, "e")
+	return l, first
+}
+
+// TestLakeLogs: Logs, every branch's log from one read of the journal,
+// has a key for each branch Branches lists and nothing else, and each
+// entry is that branch's Log.
+func TestLakeLogs(t *testing.T) {
+	l, first := threeBranchLake(t, t.TempDir())
+	logs, err := l.Logs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	branches, err := l.Branches()
+	if err != nil || len(branches) != len(logs) || fmt.Sprint(branches) != "[ablation main sweep]" {
+		t.Fatalf("Branches %v err=%v, Logs has %d keys", branches, err, len(logs))
+	}
+	for _, br := range branches {
+		log, err := l.Log(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(log)
+		got, _ := json.Marshal(logs[br])
+		if string(got) != string(want) {
+			t.Fatalf("Logs()[%s] = %s, Log(%s) = %s", br, got, br, want)
+		}
+	}
+	if main := logs["main"]; len(main) != 3 || main[0].Day != 30 || main[2].ID != first.ID {
+		t.Fatalf("Logs()[main] = %+v, want days 30, 20, 10", main)
+	}
+	if log, ok := logs["nope"]; ok {
+		t.Fatalf("Logs() holds a branch with no frame: %+v", log)
+	}
+}
+
+// TestLakeCommitFileLinks: CommitFile places the object as a hard link
+// of the checkpoint file it read, so the commit writes no object
+// bytes, and removing the file's name, as checkpoint.Prune does, leaves
+// the object whole. Another lake commits that object by link too.
+func TestLakeCommitFileLinks(t *testing.T) {
+	dir := t.TempDir()
+	src := checkpoint.DayPath(filepath.Join(dir, "ckpt"), 10)
+	writeSnapshot(t, src, 10, "linked")
+	l, err := Open(filepath.Join(dir, "lake"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := l.CommitFile("main", "r", 1, 10, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := l.ObjectPath(c.Snapshot)
+	if !sameFile(t, src, obj) {
+		t.Fatalf("object %s is a copy of %s, want a hard link of it", obj, src)
+	}
+	if err := os.Remove(src); err != nil {
+		t.Fatal(err)
+	}
+	decodesTo(t, obj, c.Snapshot)
+	if names := dirNames(t, l.objectsDir()); len(names) != 1 {
+		t.Fatalf("objects/ holds %v, want the one object and no temp name", names)
+	}
+
+	other, err := Open(filepath.Join(dir, "other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, err := other.CommitFile("main", "r", 1, 10, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oc.Snapshot != c.Snapshot || !sameFile(t, obj, other.ObjectPath(oc.Snapshot)) {
+		t.Fatalf("the other lake's object %s is not a link of %s", other.ObjectPath(oc.Snapshot), obj)
+	}
+	if head := mountAndCheck(t, filepath.Join(dir, "other"), "main"); head == nil || head.ID != oc.ID {
+		t.Fatalf("the other lake's head %+v, want %d", head, oc.ID)
+	}
+}
+
+// TestLakeRepairsDamagedLinkedObject: damage written into a linked
+// object in place is damage to the checkpoint file it shares an inode
+// with, which CommitFile then refuses; re-committing a freshly written
+// copy of the snapshot, as a deterministic re-run writes it, replaces
+// the object with a link of the fresh file.
+func TestLakeRepairsDamagedLinkedObject(t *testing.T) {
+	dir := t.TempDir()
+	src := checkpoint.DayPath(filepath.Join(dir, "ckpt"), 20)
+	writeSnapshot(t, src, 20, "damaged")
+	l, err := Open(filepath.Join(dir, "lake"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := l.CommitFile("main", "r", 1, 20, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := l.ObjectPath(c.Snapshot)
+	b, err := os.ReadFile(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(obj, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.CommitFile("main", "r", 1, 20, src); err == nil || !strings.Contains(err.Error(), "integrity footer mismatch") {
+		t.Fatalf("re-committing the source of a damaged linked object: err=%v, want an integrity footer mismatch", err)
+	}
+
+	rerun := checkpoint.DayPath(filepath.Join(dir, "rerun"), 20)
+	writeSnapshot(t, rerun, 20, "damaged")
+	rc, err := l.CommitFile("main", "r", 1, 20, rerun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Snapshot != c.Snapshot || !sameFile(t, rerun, obj) {
+		t.Fatalf("repair commit %+v: object %s is not a link of the fresh file", rc, obj)
+	}
+	decodesTo(t, obj, c.Snapshot)
+	mountAndCheck(t, filepath.Join(dir, "lake"), "main")
+}
+
 // lakeAnswers renders every read of a three-branch lake as text, so
 // two lakes' answers compare as strings: branches, each branch's head
 // and log, time travel along it, and selectors by branch and run.
@@ -119,7 +297,7 @@ func lakeAnswers(l *Lake) []string {
 		return fmt.Sprintf("%s err=%v", b, err)
 	}
 	var out []string
-	out = append(out, show(l.Branches()))
+	out = append(out, show(l.Branches()), show(l.Logs()))
 	for _, br := range []string{"main", "ablation", "sweep", "nope"} {
 		out = append(out, show(l.Head(br)), show(l.Log(br)))
 		for _, asof := range []int{-1, 9, 12, 25, 40} {
@@ -153,15 +331,7 @@ func dirNames(t *testing.T, dir string) []string {
 // head even where a leftover ref names an older commit.
 func TestLakeJournalIsTheRecord(t *testing.T) {
 	src := t.TempDir()
-	l, err := Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := mustCommit(t, l, "main", "seed-42", 42, 10, "a")
-	mustCommit(t, l, "ablation", "no-probe", 42, 12, "b")
-	mustCommit(t, l, "main", "seed-42", 42, 20, "c")
-	mustCommit(t, l, "sweep", "seed-7", 7, 15, "d")
-	mustCommit(t, l, "main", "seed-42", 42, 30, "e")
+	l, first := threeBranchLake(t, src)
 
 	dst := t.TempDir()
 	copyFile := func(rel string) {
@@ -323,13 +493,30 @@ func TestLakeCompact(t *testing.T) {
 	}
 }
 
+// TestLakeObjectsWorldReadable: objects and the journal are 0644,
+// including the object of a checkpoint file that is not world-readable,
+// which CommitFile writes instead of linking.
 func TestLakeObjectsWorldReadable(t *testing.T) {
-	l, err := Open(t.TempDir())
+	dir := t.TempDir()
+	l, err := Open(filepath.Join(dir, "lake"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := mustCommit(t, l, "main", "r", 1, 2, "perm")
-	for _, p := range []string{l.ObjectPath(c.Snapshot), l.journalPath()} {
+	private := checkpoint.DayPath(filepath.Join(dir, "ckpt"), 3)
+	writeSnapshot(t, private, 3, "private")
+	if err := os.Chmod(private, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := l.CommitFile("main", "r", 1, 3, private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameFile(t, private, l.ObjectPath(pc.Snapshot)) {
+		t.Fatalf("a 0600 checkpoint was linked into the lake")
+	}
+	decodesTo(t, l.ObjectPath(pc.Snapshot), pc.Snapshot)
+	for _, p := range []string{l.ObjectPath(c.Snapshot), l.ObjectPath(pc.Snapshot), l.journalPath()} {
 		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)

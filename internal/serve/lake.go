@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"malnet/internal/lake"
+	"malnet/internal/obs"
 	"malnet/internal/obs/redplane"
 )
 
@@ -189,7 +190,7 @@ type runBranch struct {
 }
 
 // handleRuns lists the lake's branches, their runs, and retained
-// generations.
+// generations, all from one read of the journal.
 func (s *Server) handleRuns(r *http.Request, sp *redplane.Span) (any, *httpError) {
 	if herr := checkParams(r, "limit"); herr != nil {
 		return nil, herr
@@ -198,19 +199,13 @@ func (s *Server) handleRuns(r *http.Request, sp *redplane.Span) (any, *httpError
 	if herr != nil {
 		return nil, herr
 	}
-	branches, err := s.lk.Branches()
+	logs, err := s.lk.Logs()
 	if err != nil {
 		return nil, &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
-	out := make([]runBranch, 0, len(branches))
-	for _, br := range branches {
-		log, err := s.lk.Log(br)
-		if err != nil {
-			return nil, &httpError{status: http.StatusInternalServerError, msg: err.Error()}
-		}
-		if len(log) == 0 {
-			continue
-		}
+	out := make([]runBranch, 0, len(logs))
+	for _, br := range obs.SortedKeys(logs) {
+		log := logs[br]
 		head := log[0]
 		rb := runBranch{
 			Branch:         br,

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"malnet/internal/checkpoint"
 	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/obs/redplane"
@@ -402,10 +403,21 @@ func TestServeLakeReload(t *testing.T) {
 // generation keeps serving, a selector naming the damaged generation
 // gets a 500 that names it, and re-committing the same snapshot (a
 // deterministic re-run) repairs the object, so the next Reload mounts
-// it.
+// it. The damaged commit is made from a private copy of the fixture's
+// object: CommitFile links the object to the file it commits, so the
+// in-place damage below reaches that file too, and must not reach the
+// shared fixture.
 func TestServeLakeReloadDamagedObject(t *testing.T) {
 	f := buildLakeFixture(t, 2)
 	dir := filepath.Join(t.TempDir(), "lake")
+	private := filepath.Join(t.TempDir(), "final.ckpt")
+	b, err := os.ReadFile(f.finalObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(private, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l, err := lake.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -422,12 +434,12 @@ func TestServeLakeReloadDamagedObject(t *testing.T) {
 	defer ts.Close()
 	mounted := srv.Store().Generation
 
-	final, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, f.finalObject)
+	final, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, private)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := l.ObjectPath(final.Snapshot)
-	b, err := os.ReadFile(obj)
+	b, err = os.ReadFile(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,5 +476,8 @@ func TestServeLakeReloadDamagedObject(t *testing.T) {
 	}
 	if got := srv.Store().Generation; got != final.Snapshot {
 		t.Fatalf("store after repair: %.12s, want %.12s", got, final.Snapshot)
+	}
+	if _, err := checkpoint.ReadFile(f.finalObject); err != nil {
+		t.Fatalf("the fixture's object after the damage and repair: %v", err)
 	}
 }

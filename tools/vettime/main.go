@@ -9,14 +9,14 @@
 //
 // It also enforces the durability contract on internal/checkpoint:
 // any non-test file there that creates files (os.WriteFile, os.Create,
-// os.OpenFile) must also call os.Rename — the temp-file-plus-rename
-// pattern that makes snapshot writes atomic. A direct write could
-// leave a half-written day-NNN.ckpt for a resume to trip over.
+// os.OpenFile, os.Link) must also call os.Rename — the temp-file-plus-
+// rename pattern that makes snapshot writes atomic. A direct write
+// could leave a half-written day-NNN.ckpt for a resume to trip over.
 // internal/checkpoint and internal/lake additionally carry the fsync
 // half of that contract: a non-test file that opens writable handles
-// must call .Sync() (Close does not flush the page cache), and
-// os.WriteFile — which exposes no handle to Sync — is banned there
-// outright.
+// or makes hard links must call .Sync() (neither Close nor a link
+// flushes to stable storage), and os.WriteFile — which exposes no
+// handle to Sync — is banned there outright.
 //
 // And it holds internal/colstore to a stricter purity rule: non-test
 // files there may not import "time" or "math/rand" at all. The
@@ -126,9 +126,10 @@ func main() {
 
 // fileCreators are the os-package calls that produce a file at its
 // final path; inside internal/checkpoint their presence demands an
-// os.Rename in the same file (write-to-temp, rename-into-place).
+// os.Rename in the same file (write-to-temp or link-to-temp,
+// rename-into-place).
 var fileCreators = map[string]bool{
-	"WriteFile": true, "Create": true, "OpenFile": true,
+	"WriteFile": true, "Create": true, "OpenFile": true, "Link": true,
 }
 
 // checkAtomicWrites flags internal/checkpoint files that create files
@@ -176,20 +177,21 @@ func checkAtomicWrites(fset *token.FileSet, file *ast.File, path string) []strin
 }
 
 // handleCreators are the os-package calls that open a writable file
-// handle. Inside the durable packages (internal/checkpoint,
-// internal/lake) a file that opens handles must also call .Sync()
-// somewhere: Close() does not flush the page cache, so a
-// rename-into-place without an fsync can still lose the bytes on
-// power failure. os.WriteFile is flagged outright — it exposes no
-// handle to Sync.
+// handle or add a name to a file. Inside the durable packages
+// (internal/checkpoint, internal/lake) a file that makes them must
+// also call .Sync() somewhere: Close() does not flush the page cache,
+// and a hard link changes the file's inode, so a rename-into-place
+// without an fsync can still lose the bytes or the link on power
+// failure. os.WriteFile is flagged outright — it exposes no handle to
+// Sync.
 var handleCreators = map[string]bool{
-	"Create": true, "CreateTemp": true, "OpenFile": true,
+	"Create": true, "CreateTemp": true, "OpenFile": true, "Link": true,
 }
 
 // checkSyncBeforeClose enforces the fsync half of the durability
 // contract on a file from internal/checkpoint or internal/lake: any
-// non-test file that opens writable handles must contain at least one
-// .Sync() call, and may not use os.WriteFile at all.
+// non-test file that opens writable handles or links must contain at
+// least one .Sync() call, and may not use os.WriteFile at all.
 func checkSyncBeforeClose(fset *token.FileSet, file *ast.File) []string {
 	osName := ""
 	for _, imp := range file.Imports {
@@ -222,7 +224,7 @@ func checkSyncBeforeClose(fset *token.FileSet, file *ast.File) []string {
 					fset.Position(sel.Pos())))
 			case handleCreators[sel.Sel.Name]:
 				creators = append(creators, fmt.Sprintf(
-					"%s: os.%s without a .Sync() in the file — Close does not flush the page cache",
+					"%s: os.%s without a .Sync() in the file — neither Close nor a link flushes to stable storage",
 					fset.Position(sel.Pos()), sel.Sel.Name))
 			}
 			return true
