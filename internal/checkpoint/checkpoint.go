@@ -1,9 +1,13 @@
 // Package checkpoint is the durable-snapshot codec for the year-long
 // study pipeline. A checkpoint file is a versioned, self-describing
-// container of named sections (the study driver stores JSON blobs in
-// them) framed with explicit lengths and sealed with a SHA-256
-// integrity footer, so a truncated or bit-flipped snapshot is refused
-// at load time instead of resuming a silently corrupt run.
+// container of named sections framed with explicit lengths and sealed
+// with a SHA-256 integrity footer, so a truncated or bit-flipped
+// snapshot is refused at load time instead of resuming a silently
+// corrupt run. The study driver stores most sections as JSON blobs;
+// its two largest, the datasets ("datasets.bin", internal/core) and
+// the connection counters ("conn-seq.bin", internal/simnet), are
+// binary, built from the byte primitives in binary.go, which live here
+// so both codecs share one copy.
 //
 // Wire format (all integers big-endian):
 //

@@ -14,17 +14,23 @@ var (
 	shortStudy     *Study
 )
 
-// finishedShortStudy runs the -short study (seed 42, 150 samples, 12
-// probe rounds) once per benchmark binary.
+// finishedShortStudy runs the -short study once per test binary.
 func finishedShortStudy() *Study {
 	shortStudyOnce.Do(func() {
-		wcfg := world.DefaultConfig(42)
-		wcfg.TotalSamples = 150
-		scfg := Defaults(42)
-		scfg.Analysis.ProbeRounds = 12
-		shortStudy = RunStudy(world.Generate(wcfg), scfg)
+		shortStudy = runShortStudy(func(*world.Config, *StudyConfig) {})
 	})
 	return shortStudy
+}
+
+// runShortStudy runs the -short study (seed 42, 150 samples, 12 probe
+// rounds) with tweak applied to its world and study configs.
+func runShortStudy(tweak func(*world.Config, *StudyConfig)) *Study {
+	wcfg := world.DefaultConfig(42)
+	wcfg.TotalSamples = 150
+	scfg := Defaults(42)
+	scfg.Analysis.ProbeRounds = 12
+	tweak(&wcfg, &scfg)
+	return RunStudy(world.Generate(wcfg), scfg)
 }
 
 // BenchmarkSaveCheckpoint measures one day's checkpoint as a durable
@@ -49,6 +55,32 @@ func BenchmarkSaveCheckpoint(b *testing.B) {
 	fi, err := os.Stat(checkpoint.DayPath(dir, day+b.N-1))
 	if err != nil {
 		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
+}
+
+// BenchmarkOpenSnapshot measures what malnetd pays to read a
+// generation before it builds the store: core.OpenSnapshotAt on the
+// -short study's last and largest snapshot, as BenchmarkSaveCheckpoint
+// writes it.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	st := finishedShortStudy()
+	st.Cfg.Durability.Dir = b.TempDir()
+	day := dayIndex(world.StudyEnd())
+	if err := st.saveCheckpoint(day); err != nil {
+		b.Fatal(err)
+	}
+	path := checkpoint.DayPath(st.Cfg.Durability.Dir, day)
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := OpenSnapshotAt(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
 }

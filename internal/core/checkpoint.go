@@ -148,7 +148,9 @@ type CheckpointMeta struct {
 }
 
 // CheckpointDatasets is the snapshot's dataset state (D-PC2 is
-// absent: probing aggregates are rebuilt by replay).
+// absent: probing aggregates are rebuilt by replay), stored in the
+// binary datasets.bin section (datasets.go). The JSON tags are for the
+// readers that render it as JSON.
 type CheckpointDatasets struct {
 	Samples  []*SampleRecord      `json:"samples"`
 	C2s      map[string]*C2Record `json:"c2s"`
@@ -156,9 +158,23 @@ type CheckpointDatasets struct {
 	DDoS     []DDoSObservation    `json:"ddos"`
 }
 
-// connSeqSection names the world network's connection-counter table,
-// stored raw in simnet's binary layout rather than as JSON.
-const connSeqSection = "conn-seq.bin"
+// The two binary sections: the world network's connection-counter
+// table in simnet's layout, and the datasets in datasets.go's.
+const (
+	connSeqSection  = "conn-seq.bin"
+	datasetsSection = "datasets.bin"
+)
+
+// readDatasets decodes a snapshot's datasets.bin section. A snapshot
+// without one, such as one whose datasets are the JSON section of an
+// older build, is refused.
+func readDatasets(f *checkpoint.File) (CheckpointDatasets, error) {
+	b, found := f.Section(datasetsSection)
+	if !found {
+		return CheckpointDatasets{}, fmt.Errorf("checkpoint: section %q missing", datasetsSection)
+	}
+	return decodeDatasets(b)
+}
 
 // dayIndex is a study day's position in the calendar.
 func dayIndex(day time.Time) int {
@@ -205,10 +221,6 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 		v    any
 	}{
 		{"meta", meta},
-		{"datasets", CheckpointDatasets{
-			Samples: st.Samples, C2s: st.C2s,
-			Exploits: st.Exploits, DDoS: st.DDoS,
-		}},
 		{"metrics", st.obs.Root.Registry().Export()},
 		{"world-metrics", st.W.Net.Obs().Registry().Export()},
 		{"attack-chains", chains},
@@ -217,6 +229,11 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 			return fail(err)
 		}
 	}
+	st.datasetsBuf = appendDatasets(st.datasetsBuf[:0], &CheckpointDatasets{
+		Samples: st.Samples, C2s: st.C2s,
+		Exploits: st.Exploits, DDoS: st.DDoS,
+	})
+	f.Add(datasetsSection, st.datasetsBuf)
 	f.Add(connSeqSection, st.W.Net.AppendConnSeqs(nil))
 	path := checkpoint.DayPath(st.Cfg.Durability.Dir, dayIdx)
 	if err := checkpoint.WriteFile(path, f); err != nil {
@@ -272,7 +289,6 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 	}
 	var (
 		meta         CheckpointMeta
-		ds           CheckpointDatasets
 		metrics      obs.MetricsDump
 		worldMetrics obs.MetricsDump
 		chains       map[string][]c2.ChainState
@@ -282,7 +298,6 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 		v    any
 	}{
 		{"meta", &meta},
-		{"datasets", &ds},
 		{"metrics", &metrics},
 		{"world-metrics", &worldMetrics},
 		{"attack-chains", &chains},
@@ -290,6 +305,10 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 		if err := f.JSON(s.name, s.v); err != nil {
 			return -1, fmt.Errorf("resume: %s: %w", path, err)
 		}
+	}
+	ds, err := readDatasets(f)
+	if err != nil {
+		return -1, fmt.Errorf("resume: %s: %w", path, err)
 	}
 	seqs, found := f.Section(connSeqSection)
 	if !found {
@@ -378,13 +397,15 @@ func OpenSnapshotAt(path string) (*StudySnapshot, *obs.Registry, error) {
 		v    any
 	}{
 		{"meta", &ss.Meta},
-		{"datasets", &ss.Datasets},
 		{"metrics", &metrics},
 		{"world-metrics", &worldMetrics},
 	} {
 		if err := f.JSON(s.name, s.v); err != nil {
 			return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
 		}
+	}
+	if ss.Datasets, err = readDatasets(f); err != nil {
+		return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
 	}
 	ss.Day = ss.Meta.Day
 	if ss.Datasets.C2s == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -237,10 +238,12 @@ func TestCheckpointResumeEquivalenceFaulted(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeRefusesJSONConnSeq: a snapshot whose connection
-// counters are the old JSON "conn-seq" section, with no binary table,
-// cannot resume a study; the error names the missing section.
-func TestCheckpointResumeRefusesJSONConnSeq(t *testing.T) {
+// resumeFromOlderSnapshot kills a study at day 17, rewrites each
+// section of its newest snapshot through older (the shape an older
+// build wrote), and resumes from it. It returns the snapshot's path
+// and the resume's error.
+func resumeFromOlderSnapshot(t *testing.T, older func(checkpoint.Section) checkpoint.Section) (string, error) {
+	t.Helper()
 	const seed = 11
 	base := t.TempDir()
 	ckptDir := filepath.Join(base, "ckpt")
@@ -252,11 +255,9 @@ func TestCheckpointResumeRefusesJSONConnSeq(t *testing.T) {
 	}
 	old := &checkpoint.File{}
 	for _, s := range snap.Sections {
-		if s.Name != connSeqSection {
-			old.Add(s.Name, s.Data)
-		}
+		s = older(s)
+		old.Add(s.Name, s.Data)
 	}
-	old.Add("conn-seq", []byte(`[{"Src":"10.99.0.2","Dst":{"IP":"10.0.0.1","Port":23},"Seq":1}]`))
 	if err := checkpoint.WriteFile(snap.Path, old); err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +273,49 @@ func TestCheckpointResumeRefusesJSONConnSeq(t *testing.T) {
 	scfg.Observability.Obs = obs.NewObserver()
 	scfg.Observability.Obs.SetJournal(jf)
 	_, err = RunStudyContext(context.Background(), w, scfg)
+	return snap.Path, err
+}
+
+// TestCheckpointResumeRefusesJSONConnSeq: a snapshot whose connection
+// counters are the old JSON "conn-seq" section, with no binary table,
+// cannot resume a study; the error names the missing section.
+func TestCheckpointResumeRefusesJSONConnSeq(t *testing.T) {
+	_, err := resumeFromOlderSnapshot(t, func(s checkpoint.Section) checkpoint.Section {
+		if s.Name == connSeqSection {
+			return checkpoint.Section{Name: "conn-seq", Data: []byte(`[{"Src":"10.99.0.2","Dst":{"IP":"10.0.0.1","Port":23},"Seq":1}]`)}
+		}
+		return s
+	})
 	if err == nil || !strings.Contains(err.Error(), `section "conn-seq.bin" missing`) {
 		t.Fatalf("resume from a JSON conn-seq snapshot: got %v, want the missing conn-seq.bin section named", err)
+	}
+}
+
+// TestCheckpointResumeRefusesJSONDatasets: a snapshot whose datasets
+// are the old JSON "datasets" section, with no datasets.bin, can
+// neither resume a study nor be opened for serving; both errors name
+// the missing section.
+func TestCheckpointResumeRefusesJSONDatasets(t *testing.T) {
+	path, err := resumeFromOlderSnapshot(t, func(s checkpoint.Section) checkpoint.Section {
+		if s.Name != datasetsSection {
+			return s
+		}
+		ds, err := decodeDatasets(s.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return checkpoint.Section{Name: "datasets", Data: b}
+	})
+	const want = `section "datasets.bin" missing`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume from a JSON datasets snapshot: got %v, want the missing datasets.bin section named", err)
+	}
+	if _, _, err := OpenSnapshotAt(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("opening a JSON datasets snapshot: got %v, want the missing datasets.bin section named", err)
 	}
 }
 

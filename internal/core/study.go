@@ -357,6 +357,9 @@ type Study struct {
 	lastProgress int
 	// wallStart anchors Progress throughput arithmetic.
 	wallStart time.Time
+	// datasetsBuf is saveCheckpoint's datasets.bin buffer, reused day
+	// after day: the file encoding copies the section out of it.
+	datasetsBuf []byte
 }
 
 // Obs returns the study's observer (nil only for hand-built Study

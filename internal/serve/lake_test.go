@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"malnet/internal/checkpoint"
+	"malnet/internal/core"
 	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/obs/redplane"
@@ -398,15 +399,44 @@ func TestServeLakeReload(t *testing.T) {
 	}
 }
 
+// writeJSONDatasetsCheckpoint writes to dst the checkpoint at src as
+// a build before datasets.bin wrote it: the datasets as a JSON
+// "datasets" section.
+func writeJSONDatasetsCheckpoint(t *testing.T, src, dst string) {
+	t.Helper()
+	ss, _, err := core.OpenSnapshotAt(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &checkpoint.File{}
+	for _, s := range f.Sections {
+		if s.Name != "datasets.bin" {
+			old.Add(s.Name, s.Data)
+		}
+	}
+	if err := old.AddJSON("datasets", ss.Datasets); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteFile(dst, old); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeLakeReloadDamagedObject: a branch head whose object is
 // damaged on disk never mounts. Reload fails and counts, the mounted
 // generation keeps serving, a selector naming the damaged generation
 // gets a 500 that names it, and re-committing the same snapshot (a
 // deterministic re-run) repairs the object, so the next Reload mounts
-// it. The damaged commit is made from a private copy of the fixture's
-// object: CommitFile links the object to the file it commits, so the
-// in-place damage below reaches that file too, and must not reach the
-// shared fixture.
+// it. A head that an older build wrote, its datasets a JSON section
+// rather than datasets.bin, is refused the same way, and a daemon
+// will not mount a lake with such a head at all. The damaged commit is
+// made from a private copy of the fixture's object: CommitFile links
+// the object to the file it commits, so the in-place damage below
+// reaches that file too, and must not reach the shared fixture.
 func TestServeLakeReloadDamagedObject(t *testing.T) {
 	f := buildLakeFixture(t, 2)
 	dir := filepath.Join(t.TempDir(), "lake")
@@ -466,6 +496,32 @@ func TestServeLakeReloadDamagedObject(t *testing.T) {
 	}
 	if !strings.Contains(prom.String(), "\nmalnet_serve_reload_errors_total 1\n") {
 		t.Fatalf("/metrics wall section does not count the failed reload:\n%s", prom.String())
+	}
+
+	// A head written by an older build, whose datasets are a JSON
+	// section, is refused the same way, by name: no reload onto it and
+	// no daemon mounting it.
+	older := filepath.Join(t.TempDir(), "older.ckpt")
+	writeJSONDatasetsCheckpoint(t, f.finalObject, older)
+	if _, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, older); err != nil {
+		t.Fatal(err)
+	}
+	const missing = `section "datasets.bin" missing`
+	if changed, err := srv.Reload(); err == nil || changed || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("reload onto an older build's object: changed=%v err=%v, want the missing datasets.bin named", changed, err)
+	}
+	if got := srv.Store().Generation; got != mounted {
+		t.Fatalf("failed reload swapped the store to %.12s, want %.12s kept", got, mounted)
+	}
+	prom.Reset()
+	if err := wall.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\nmalnet_serve_reload_errors_total 2\n") {
+		t.Fatalf("/metrics wall section does not count the second failed reload:\n%s", prom.String())
+	}
+	if _, err := New(dir, obs.NewWall()); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("mounting a lake whose head an older build wrote: got %v, want the missing datasets.bin named", err)
 	}
 
 	if _, err := l.CommitFile("main", "r", fixtureSeed, f.finalDay, f.finalObject); err != nil {

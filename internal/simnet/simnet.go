@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"time"
 
+	"malnet/internal/checkpoint"
 	"malnet/internal/detrand"
 	"malnet/internal/faultinject"
 	"malnet/internal/obs"
@@ -528,12 +529,10 @@ func (n *Network) nextConnSeq(src netip.Addr, dst Addr) uint64 {
 // The connection-counter table, as AppendConnSeqs writes it: a uvarint
 // entry count, then per entry in first-dial order
 //
-//	src   1 length byte (0 for the zero Addr, 4 or 16), then the address
-//	dst   the same, for the dialed IP
+//	src   the dialing host's address, as checkpoint.AppendIP writes it
+//	dst   the dialed IP, the same way
 //	port  2 bytes big-endian, the dialed port
 //	seq   uvarint, the pair's next connection sequence number
-//
-// IPv6 zones are not carried; no simnet host has one.
 const minConnSeqEntry = 1 + 1 + 2 + 1
 
 // AppendConnSeqs appends every per-pair connection counter to b as the
@@ -544,24 +543,12 @@ func (n *Network) AppendConnSeqs(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(n.connSeqs)))
 	for i := range n.connSeqs {
 		e := &n.connSeqs[i]
-		b = appendIP(b, e.src)
-		b = appendIP(b, e.dst.IP)
+		b = checkpoint.AppendIP(b, e.src)
+		b = checkpoint.AppendIP(b, e.dst.IP)
 		b = binary.BigEndian.AppendUint16(b, e.dst.Port)
 		b = binary.AppendUvarint(b, e.seq)
 	}
 	return b
-}
-
-func appendIP(b []byte, ip netip.Addr) []byte {
-	switch {
-	case ip.Is4():
-		a := ip.As4()
-		return append(append(b, 4), a[:]...)
-	case ip.Is6():
-		a := ip.As16()
-		return append(append(b, 16), a[:]...)
-	}
-	return append(b, 0)
 }
 
 // RestoreConnSeqs replaces the per-pair connection counters with a
@@ -571,7 +558,7 @@ func appendIP(b []byte, ip netip.Addr) []byte {
 // bytes, a duplicate pair, a non-minimal varint, or a count the bytes
 // cannot hold — is refused and leaves the counters as they were.
 func (n *Network) RestoreConnSeqs(b []byte) error {
-	count, b, err := readUvarint(b)
+	count, b, err := checkpoint.ReadUvarint(b)
 	if err != nil {
 		return fmt.Errorf("simnet: conn-seq table count: %w", err)
 	}
@@ -582,17 +569,17 @@ func (n *Network) RestoreConnSeqs(b []byte) error {
 	index := make(map[connSeqKey]int32, count)
 	for i := range entries {
 		e := &entries[i]
-		if e.src, b, err = readIP(b); err != nil {
+		if e.src, b, err = checkpoint.ReadIP(b); err != nil {
 			return fmt.Errorf("simnet: conn-seq entry %d src: %w", i, err)
 		}
-		if e.dst.IP, b, err = readIP(b); err != nil {
+		if e.dst.IP, b, err = checkpoint.ReadIP(b); err != nil {
 			return fmt.Errorf("simnet: conn-seq entry %d dst: %w", i, err)
 		}
 		if len(b) < 2 {
-			return fmt.Errorf("simnet: conn-seq entry %d port: %w", i, errTruncated)
+			return fmt.Errorf("simnet: conn-seq entry %d port: %w", i, checkpoint.ErrTruncated)
 		}
 		e.dst.Port, b = binary.BigEndian.Uint16(b), b[2:]
-		if e.seq, b, err = readUvarint(b); err != nil {
+		if e.seq, b, err = checkpoint.ReadUvarint(b); err != nil {
 			return fmt.Errorf("simnet: conn-seq entry %d seq: %w", i, err)
 		}
 		if _, dup := index[e.connSeqKey]; dup {
@@ -605,43 +592,6 @@ func (n *Network) RestoreConnSeqs(b []byte) error {
 	}
 	n.connSeqs, n.connSeqAt = entries, index
 	return nil
-}
-
-var errTruncated = errors.New("truncated")
-
-func readIP(b []byte) (netip.Addr, []byte, error) {
-	if len(b) == 0 {
-		return netip.Addr{}, b, errTruncated
-	}
-	l, b := int(b[0]), b[1:]
-	if l != 0 && l != 4 && l != 16 {
-		return netip.Addr{}, b, fmt.Errorf("address length %d, want 0, 4 or 16", l)
-	}
-	if len(b) < l {
-		return netip.Addr{}, b, errTruncated
-	}
-	switch l {
-	case 4:
-		return netip.AddrFrom4([4]byte(b[:4])), b[4:], nil
-	case 16:
-		return netip.AddrFrom16([16]byte(b[:16])), b[16:], nil
-	}
-	return netip.Addr{}, b, nil
-}
-
-// readUvarint reads a minimally encoded uvarint, so every accepted
-// table re-encodes to the same bytes.
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, k := binary.Uvarint(b)
-	switch {
-	case k == 0:
-		return 0, b, errTruncated
-	case k < 0:
-		return 0, b, errors.New("varint overflows uint64")
-	case k > 1 && b[k-1] == 0:
-		return 0, b, errors.New("non-minimal varint")
-	}
-	return v, b[k:], nil
 }
 
 // darkAt reports whether ip is inside an injected blackout at t. A

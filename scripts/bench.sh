@@ -35,6 +35,6 @@ for f in ${MERGE:-}; do
 done
 
 echo "running benchmarks (-bench '$pattern' -benchtime $benchtime)..." >&2
-go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . ./internal/serve/ ./internal/colstore/ ./internal/simclock/ ./internal/simnet/ | tee "$tmp" >&2
+go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . ./internal/core/ ./internal/serve/ ./internal/colstore/ ./internal/simclock/ ./internal/simnet/ | tee "$tmp" >&2
 go run ./tools/benchjson ${merge_flags[@]+"${merge_flags[@]}"} <"$tmp" >"$out"
 echo "wrote $out" >&2
