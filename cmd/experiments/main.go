@@ -6,7 +6,8 @@
 //	experiments [-seed N] [-samples N] [-probe-rounds N] [-workers N]
 //	            [-short] [-table N] [-figure N] [-headlines] [-all]
 //	            [-trace-out FILE] [-metrics-out FILE] [-debug-addr ADDR]
-//	            [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
+//	            [-lake-dir DIR] [-lake-run NAME] [-lake-branch NAME]
+//	            [-checkpoint-every N] [-resume]
 //
 // With no selector it prints everything. -short runs a scaled-down
 // study (150 samples, 12 probe rounds) in a few seconds; the default

@@ -6,17 +6,18 @@
 //	malnet [-seed N] [-samples N] [-workers N] [-short] [-out DIR]
 //	       [-faults] [-fault-seed N] [-v]
 //	       [-trace-out FILE] [-metrics-out FILE] [-debug-addr ADDR]
-//	       [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
 //	       [-lake-dir DIR] [-lake-run NAME] [-lake-branch NAME]
+//	       [-checkpoint-every N] [-resume]
 //
-// With -checkpoint-dir the study snapshots itself at day-batch
-// boundaries; a run killed by ^C (or anything else) restarts from the
-// newest snapshot with -resume, producing byte-identical output to an
-// uninterrupted run. An interrupted run still flushes its trace
-// journal and metrics snapshot, so partial observability survives.
-// With -lake-dir every snapshot is also committed into a run lake,
-// the data source of cmd/malnetd, the query daemon that serves
-// finished (or still-running) studies over HTTP.
+// With -lake-dir the study is durable: it commits a snapshot into the
+// run lake at DIR at day-batch boundaries, and a run killed by ^C (or
+// anything else) restarts from the branch head with -resume,
+// producing byte-identical output to an uninterrupted run. A head
+// whose object is damaged is passed over for the commit before it.
+// An interrupted run still flushes its trace journal and metrics
+// snapshot, so partial observability survives. The lake is the data
+// source of cmd/malnetd, the query daemon that serves finished (or
+// still-running) studies over HTTP.
 package main
 
 import (

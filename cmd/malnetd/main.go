@@ -1,6 +1,6 @@
 // Command malnetd serves a finished (or still-running) MalNet study
-// over HTTP. It mounts the run lake cmd/malnet commits its
-// checkpoints into with -lake-dir, loads the head of -branch, encodes
+// over HTTP. It mounts the run lake a durable `cmd/malnet -lake-dir`
+// run commits its snapshots into, loads the head of -branch, encodes
 // its sample table into columns in memory, and answers JSON queries,
 // every filter a selection over those columns:
 //

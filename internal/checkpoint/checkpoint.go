@@ -7,7 +7,9 @@
 // its two largest, the datasets ("datasets.bin", internal/core) and
 // the connection counters ("conn-seq.bin", internal/simnet), are
 // binary, built from the byte primitives in binary.go, which live here
-// so both codecs share one copy.
+// so both codecs share one copy. A durable study commits each encoded
+// snapshot into its run lake (internal/lake), whose objects are files
+// in this format.
 //
 // Wire format (all integers big-endian):
 //
@@ -20,13 +22,13 @@
 //	         data
 //	footer   32 bytes SHA-256 over every preceding byte
 //
-// Files are written atomically by WriteBytes, which internal/lake also
-// uses for its objects and journal: the bytes go to a temp file in the
+// Files are written atomically by WriteBytes, which internal/lake uses
+// for its objects and journal: the bytes go to a temp file in the
 // destination directory and are os.Rename'd into place, so a crash
-// mid-write can never leave a half-written day-NNN.ckpt to resume
-// from (tools/vettime lints this package for exactly that pattern).
+// mid-write can never leave a half-written snapshot to resume from
+// (tools/vettime lints this package for exactly that pattern).
 // LinkBytes places a file the same way, as a hard link of one already
-// on disk; internal/lake commits checkpoint files with it.
+// on disk; lake.CommitFile commits a file a caller wrote with it.
 package checkpoint
 
 import (
@@ -34,13 +36,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // magic identifies a checkpoint file; the trailing byte is the format
@@ -262,93 +260,4 @@ func ReadFile(path string) (*File, error) {
 // DayPath names the checkpoint for study-day n inside dir.
 func DayPath(dir string, day int) string {
 	return filepath.Join(dir, fmt.Sprintf("day-%03d.ckpt", day))
-}
-
-// dayOf parses a day-NNN.ckpt base name; ok is false for anything
-// else (temp files, strangers). The whole name must match — Sscanf
-// would happily take "day-099.ckpt.tmp123".
-func dayOf(name string) (int, bool) {
-	digits, found := strings.CutPrefix(name, "day-")
-	if !found {
-		return 0, false
-	}
-	digits, found = strings.CutSuffix(digits, ".ckpt")
-	if !found {
-		return 0, false
-	}
-	day, err := strconv.Atoi(digits)
-	if err != nil || day < 0 {
-		return 0, false
-	}
-	return day, true
-}
-
-// Snapshot is a checkpoint found on disk by Latest, decoded and
-// footer-verified. The embedded File gives section access; Path and
-// Day locate it in the directory.
-type Snapshot struct {
-	*File
-	Path string
-	Day  int
-}
-
-// Latest returns the newest valid checkpoint in dir, fully decoded.
-// A snapshot that fails to load — bit-flipped, truncated by a bad
-// disk, or removed between the directory listing and the read — is
-// skipped and the next-newest is tried, because an older good resume
-// point always beats refusing to resume at all; skipped reports how
-// many were passed over so the caller can log the fallback. snap is
-// nil when dir holds no loadable checkpoint (including when the
-// directory does not exist) — the caller then starts fresh.
-func Latest(dir string) (snap *Snapshot, skipped int, err error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	var days []int
-	for _, e := range entries {
-		if d, isCkpt := dayOf(e.Name()); isCkpt {
-			days = append(days, d)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(days)))
-	for _, d := range days {
-		path := DayPath(dir, d)
-		f, err := ReadFile(path)
-		if err != nil {
-			skipped++
-			continue
-		}
-		return &Snapshot{File: f, Path: path, Day: d}, skipped, nil
-	}
-	return nil, skipped, nil
-}
-
-// Prune removes every checkpoint in dir older than keepDay, keeping
-// the newest snapshot as the single resume point. Removal failures
-// are reported but the newest checkpoint is never touched — and one
-// stubborn entry does not shield the rest: every removable checkpoint
-// is removed, and the failures come back joined into one error.
-func Prune(dir string, keepDay int) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var days []int
-	for _, e := range entries {
-		if d, isCkpt := dayOf(e.Name()); isCkpt && d < keepDay {
-			days = append(days, d)
-		}
-	}
-	sort.Ints(days)
-	var errs []error
-	for _, d := range days {
-		if err := os.Remove(DayPath(dir, d)); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -81,186 +80,45 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicAndLatest(t *testing.T) {
+// TestWriteFileAtomic: WriteFile replaces a file whole, leaves no
+// temp file behind, and the file read back carries the footer as its
+// Sum.
+func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-
-	// No checkpoints yet: Latest reports none, without error, even
-	// for a directory that does not exist.
-	if snap, _, err := Latest(filepath.Join(dir, "absent")); err != nil || snap != nil {
-		t.Fatalf("Latest on missing dir: snap=%v err=%v", snap, err)
-	}
-
-	for _, day := range []int{3, 17, 29} {
+	path := DayPath(dir, 29)
+	for _, day := range []byte{17, 29} {
 		f := &File{}
-		f.Add("meta", []byte{byte(day)})
-		if err := WriteFile(DayPath(dir, day), f); err != nil {
+		f.Add("meta", []byte{day})
+		if err := WriteFile(path, f); err != nil {
 			t.Fatalf("WriteFile day %d: %v", day, err)
 		}
 	}
-	// A stray temp file and an unrelated file must not confuse Latest.
-	os.WriteFile(filepath.Join(dir, "day-099.ckpt.tmp123"), []byte("junk"), 0o644)
-	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("junk"), 0o644)
-
-	snap, skipped, err := Latest(dir)
-	if err != nil || snap == nil {
-		t.Fatalf("Latest: snap=%v err=%v", snap, err)
-	}
-	if skipped != 0 {
-		t.Fatalf("Latest skipped %d snapshots in a clean dir", skipped)
-	}
-	if snap.Day != 29 || snap.Path != DayPath(dir, 29) {
-		t.Fatalf("Latest: got day %d path %s", snap.Day, snap.Path)
-	}
-	if b, _ := snap.Section("meta"); len(b) != 1 || b[0] != 29 {
-		t.Fatalf("latest checkpoint content: %v", b)
-	}
-	raw, err := os.ReadFile(snap.Path)
+	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := raw[len(raw)-32:]; !bytes.Equal(snap.Sum[:], want) {
-		t.Fatalf("Sum = %x, want file footer %x", snap.Sum, want)
+	if b, _ := got.Section("meta"); len(b) != 1 || b[0] != 29 {
+		t.Fatalf("rewritten checkpoint content: %v", b)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := raw[len(raw)-32:]; !bytes.Equal(got.Sum[:], want) {
+		t.Fatalf("Sum = %x, want file footer %x", got.Sum, want)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (err=%v), want the one checkpoint", len(entries), err)
 	}
 
 	// World-readable: os.CreateTemp's 0600 would stop a daemon running
 	// as a different user from mounting the snapshot.
-	fi, err := os.Stat(snap.Path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Mode().Perm() != 0o644 {
 		t.Fatalf("checkpoint mode %v, want 0644", fi.Mode().Perm())
-	}
-
-	if err := Prune(dir, 29); err != nil {
-		t.Fatalf("Prune: %v", err)
-	}
-	for _, day := range []int{3, 17} {
-		if _, err := os.Stat(DayPath(dir, day)); !os.IsNotExist(err) {
-			t.Errorf("day %d survived prune: %v", day, err)
-		}
-	}
-	if _, err := os.Stat(DayPath(dir, 29)); err != nil {
-		t.Errorf("newest checkpoint pruned: %v", err)
-	}
-}
-
-// TestPruneContinuesPastFailures pins the doc contract: one stubborn
-// entry must not shield the rest of the backlog. A non-empty
-// directory named like a checkpoint is undeletable by os.Remove
-// (works even when the tests run as root, unlike permission tricks);
-// Prune must still remove every other old day, report the failure,
-// and never touch the newest snapshot.
-func TestPruneContinuesPastFailures(t *testing.T) {
-	dir := t.TempDir()
-	for _, day := range []int{2, 9, 21} {
-		f := &File{}
-		f.Add("meta", []byte{byte(day)})
-		if err := WriteFile(DayPath(dir, day), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// day-007.ckpt is a directory with a child: os.Remove fails.
-	stuck := DayPath(dir, 7)
-	if err := os.MkdirAll(filepath.Join(stuck, "child"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	err := Prune(dir, 21)
-	if err == nil {
-		t.Fatal("Prune with an undeletable entry reported no error")
-	}
-	for _, day := range []int{2, 9} {
-		if _, statErr := os.Stat(DayPath(dir, day)); !os.IsNotExist(statErr) {
-			t.Errorf("day %d survived prune despite the earlier failure: %v", day, statErr)
-		}
-	}
-	if _, statErr := os.Stat(DayPath(dir, 21)); statErr != nil {
-		t.Errorf("newest checkpoint touched: %v", statErr)
-	}
-	if _, statErr := os.Stat(stuck); statErr != nil {
-		t.Errorf("stuck entry vanished: %v", statErr)
-	}
-}
-
-// TestLatestOverMixedDir walks Latest across the directory shapes a
-// long-lived lake accumulates: live snapshots, corrupt ones, gaps
-// left by pruning, stray temp files, and non-file entries.
-func TestLatestOverMixedDir(t *testing.T) {
-	dir := t.TempDir()
-	// Live: 8 and 40. The pruned gap (10..30 absent) is implicit.
-	for _, day := range []int{8, 40} {
-		f := &File{}
-		f.Add("meta", []byte{byte(day)})
-		if err := WriteFile(DayPath(dir, day), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Corrupt newest, stray temp file, and a directory squatting on a
-	// checkpoint name.
-	os.WriteFile(DayPath(dir, 55), []byte("torn"), 0o644)
-	os.WriteFile(filepath.Join(dir, "day-060.ckpt.tmp42"), []byte("junk"), 0o644)
-	os.MkdirAll(filepath.Join(DayPath(dir, 70), "child"), 0o755)
-
-	snap, skipped, err := Latest(dir)
-	if err != nil || snap == nil {
-		t.Fatalf("Latest: snap=%v err=%v", snap, err)
-	}
-	// day-070.ckpt is a directory: ReadFile fails, so it counts as
-	// skipped alongside the corrupt day 55; day 40 is the fallback.
-	if snap.Day != 40 || skipped != 2 {
-		t.Fatalf("Latest: got day %d skipped %d, want day 40 skipped 2", snap.Day, skipped)
-	}
-}
-
-// TestLatestSkipsCorrupt covers the fallback contract: a corrupt or
-// truncated newest snapshot must not strand an otherwise resumable
-// directory — Latest walks backwards to the newest valid one,
-// reporting how many it passed over.
-func TestLatestSkipsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	for _, day := range []int{5, 11, 20, 28} {
-		f := &File{}
-		f.Add("meta", []byte{byte(day)})
-		if err := WriteFile(DayPath(dir, day), f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Truncate day 28 (crash mid-write on a filesystem without atomic
-	// rename semantics) and bit-flip day 20 (bad disk).
-	enc, err := os.ReadFile(DayPath(dir, 28))
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.WriteFile(DayPath(dir, 28), enc[:len(enc)/2], 0o644)
-	enc, err = os.ReadFile(DayPath(dir, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc[len(enc)/3] ^= 0x10
-	os.WriteFile(DayPath(dir, 20), enc, 0o644)
-
-	snap, skipped, err := Latest(dir)
-	if err != nil || snap == nil {
-		t.Fatalf("Latest: snap=%v err=%v", snap, err)
-	}
-	if snap.Day != 11 || skipped != 2 {
-		t.Fatalf("Latest: got day %d skipped %d, want day 11 skipped 2", snap.Day, skipped)
-	}
-	if b, _ := snap.Section("meta"); len(b) != 1 || b[0] != 11 {
-		t.Fatalf("fallback snapshot content: %v", b)
-	}
-
-	// All snapshots corrupt: none found, all counted.
-	for _, day := range []int{5, 11} {
-		os.WriteFile(DayPath(dir, day), []byte("junk"), 0o644)
-	}
-	snap, skipped, err = Latest(dir)
-	if err != nil || snap != nil {
-		t.Fatalf("Latest over all-corrupt dir: snap=%v err=%v", snap, err)
-	}
-	if skipped != 4 {
-		t.Fatalf("skipped = %d, want 4", skipped)
 	}
 }
 

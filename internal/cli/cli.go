@@ -1,7 +1,7 @@
 // Package cli centralizes the flag wiring shared by the malnet
 // command family (cmd/malnet, cmd/experiments, cmd/malnetd): the
 // study-shaping knobs (seed, feed size, workers, fault injection),
-// checkpoint durability, and the observability sinks (trace journal,
+// durability in a run lake, and the observability sinks (trace journal,
 // metrics snapshot, live debug server). Each command registers one
 // flag group per concern instead of re-declaring ~100 lines of
 // identical flag definitions, and the flag-to-config translation
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"malnet/internal/core"
-	"malnet/internal/lake"
 	"malnet/internal/loadgen"
 	"malnet/internal/obs"
 	"malnet/internal/world"
@@ -59,8 +58,9 @@ func NewStudyFlags(fs *flag.FlagSet) *StudyFlags {
 }
 
 // Configs translates the parsed flags into a (world, study) config
-// pair, validated: a bad combination (e.g. -resume without
-// -checkpoint-dir) comes back as an error naming the fields.
+// pair, validated: a bad combination (e.g. -resume without -lake-dir)
+// comes back as an error naming the fields. Configs has no side
+// effects: the study lays out its lake on the first checkpoint.
 func (f *StudyFlags) Configs() (world.Config, core.StudyConfig, error) {
 	wcfg := world.DefaultConfig(f.Seed)
 	scfg := core.Defaults(f.Seed)
@@ -68,34 +68,11 @@ func (f *StudyFlags) Configs() (world.Config, core.StudyConfig, error) {
 	scfg.Determinism.Faults = f.Faults
 	scfg.Determinism.FaultSeed = f.FaultSeed
 	scfg.Durability = core.CheckpointConfig{
-		Dir:    f.Checkpoint.Dir,
+		Dir:    f.Checkpoint.LakeDir,
+		Branch: f.Checkpoint.LakeBranch,
+		Run:    f.Checkpoint.LakeRun,
 		Every:  f.Checkpoint.Every,
 		Resume: f.Checkpoint.Resume,
-	}
-	if f.Checkpoint.LakeDir != "" {
-		if f.Checkpoint.Dir == "" {
-			return wcfg, scfg, errors.New("-lake-dir requires -checkpoint-dir")
-		}
-		run := f.Checkpoint.LakeRun
-		if run == "" {
-			run = fmt.Sprintf("seed-%d", f.Seed)
-		}
-		branch, seed := f.Checkpoint.LakeBranch, f.Seed
-		// The lake is opened on the first checkpoint, not here:
-		// Configs must stay side-effect free so validation errors
-		// don't leave half-created directories behind. The callback
-		// runs on the merge goroutine, strictly sequentially.
-		var lk *lake.Lake
-		scfg.Durability.OnCheckpoint = func(day int, path string) error {
-			if lk == nil {
-				var err error
-				if lk, err = lake.Open(f.Checkpoint.LakeDir); err != nil {
-					return err
-				}
-			}
-			_, err := lk.CommitFile(branch, run, seed, day, path)
-			return err
-		}
 	}
 	if f.Short {
 		wcfg.TotalSamples = 150
@@ -134,35 +111,31 @@ func (f *StudyFlags) ProgressPrinter() func(core.ProgressUpdate) {
 	}
 }
 
-// CheckpointFlags mirrors core.CheckpointConfig, flag-registered,
-// plus the run-lake publication knobs.
+// CheckpointFlags mirrors core.CheckpointConfig, flag-registered.
 type CheckpointFlags struct {
-	Dir    string
-	Every  int
-	Resume bool
-
-	// LakeDir, when set, commits every written checkpoint into the
-	// run lake at that directory (creating it on first use); LakeRun
-	// and LakeBranch name the run and the branch the commits land on.
+	// LakeDir, when set, makes the run durable: every snapshot is
+	// committed into the run lake at that directory (created on first
+	// use), on branch LakeBranch under run name LakeRun.
 	LakeDir    string
 	LakeRun    string
 	LakeBranch string
+	Every      int
+	Resume     bool
 }
 
 // Register declares the checkpoint flag group on fs.
 func (c *CheckpointFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&c.Dir, "checkpoint-dir", "", "write resumable study snapshots to DIR at day-batch boundaries")
-	fs.IntVar(&c.Every, "checkpoint-every", 1, "snapshot after every N-th non-empty day batch")
-	fs.BoolVar(&c.Resume, "resume", false, "resume from the newest snapshot in -checkpoint-dir (config must match)")
-	fs.StringVar(&c.LakeDir, "lake-dir", "", "commit each checkpoint into the run lake at DIR (requires -checkpoint-dir)")
+	fs.StringVar(&c.LakeDir, "lake-dir", "", "make the run durable: commit a snapshot into the run lake at DIR at day-batch boundaries")
 	fs.StringVar(&c.LakeRun, "lake-run", "", "run name recorded on lake commits (default seed-<seed>)")
 	fs.StringVar(&c.LakeBranch, "lake-branch", "main", "lake branch the run's commits land on")
+	fs.IntVar(&c.Every, "checkpoint-every", 1, "snapshot after every N-th non-empty day batch")
+	fs.BoolVar(&c.Resume, "resume", false, "resume from the newest snapshot on -lake-branch in -lake-dir (config must match)")
 }
 
-// InterruptHint tells the user how to continue a checkpointed run
-// that err cancelled; a no-op otherwise.
+// InterruptHint tells the user how to continue a durable run that err
+// cancelled; a no-op otherwise.
 func (c *CheckpointFlags) InterruptHint(name string, err error) {
-	if c.Dir != "" && errors.Is(err, context.Canceled) {
+	if c.LakeDir != "" && errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "%s: re-run with -resume to continue from the last checkpoint\n", name)
 	}
 }

@@ -14,34 +14,35 @@ import (
 )
 
 // TestStudyFlagsLakeLinksCheckpoints runs the -short study as
-// `malnet -short -checkpoint-dir C -lake-dir L` configures it. C keeps
-// one checkpoint, the newest, and it is the same file as L's head
-// object: each commit linked its checkpoint in, so pruning the day
-// before only dropped a name. Every object in L decodes to the
-// generation its commit names.
+// `malnet -short -lake-dir L` configures it. The lake is the run's one
+// store: L's head is the study's last day, L holds one object per
+// commit, every object decodes to the generation its commit names,
+// and nothing else is written beside L.
 func TestStudyFlagsLakeLinksCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	ckptDir, lakeDir := filepath.Join(dir, "ckpt"), filepath.Join(dir, "lake")
+	lakeDir := filepath.Join(dir, "lake")
 	fs := flag.NewFlagSet("malnet", flag.ContinueOnError)
 	flags := NewStudyFlags(fs)
-	if err := fs.Parse([]string{"-short", "-checkpoint-dir", ckptDir, "-lake-dir", lakeDir}); err != nil {
+	if err := fs.Parse([]string{"-short", "-lake-dir", lakeDir}); err != nil {
 		t.Fatal(err)
 	}
 	wcfg, scfg, err := flags.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunStudyContext(context.Background(), world.Generate(wcfg), scfg); err != nil {
+	w := world.Generate(wcfg)
+	lastDay := -1
+	for day := world.StudyStart(); day.Before(world.StudyEnd()); day = day.AddDate(0, 0, 1) {
+		if len(w.FeedOn(day)) > 0 {
+			lastDay = int(day.Sub(world.StudyStart()).Hours() / 24)
+		}
+	}
+	if _, err := core.RunStudyContext(context.Background(), w, scfg); err != nil {
 		t.Fatal(err)
 	}
 
-	entries, err := os.ReadDir(ckptDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := checkpoint.Latest(ckptDir)
-	if err != nil || snap == nil || len(entries) != 1 {
-		t.Fatalf("checkpoint dir holds %d entries, newest %v (err=%v); want one checkpoint", len(entries), snap, err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "lake" {
+		t.Fatalf("the run wrote %v beside its lake (err=%v)", entries, err)
 	}
 	l, err := lake.Open(lakeDir)
 	if err != nil {
@@ -51,17 +52,8 @@ func TestStudyFlagsLakeLinksCheckpoints(t *testing.T) {
 	if err != nil || len(log) == 0 {
 		t.Fatalf("Log(main): %d commits, err=%v", len(log), err)
 	}
-	head := log[0]
-	headFile, err := os.Stat(l.ObjectPath(head.Snapshot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptFile, err := os.Stat(snap.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head.Day != snap.Day || head.Snapshot != snap.SumHex() || !os.SameFile(headFile, ckptFile) {
-		t.Fatalf("head commit day %d %.12s, checkpoint day %d %.12s: want one file", head.Day, head.Snapshot, snap.Day, snap.SumHex())
+	if head := log[0]; head.Day != lastDay || head.Run != "seed-42" {
+		t.Fatalf("head commit is day %d of run %q, want the study's last day %d of seed-42", head.Day, head.Run, lastDay)
 	}
 	objects, err := os.ReadDir(filepath.Join(lakeDir, "objects"))
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"malnet/internal/checkpoint"
 	"malnet/internal/world"
 )
 
@@ -34,15 +33,16 @@ func runShortStudy(tweak func(*world.Config, *StudyConfig)) *Study {
 }
 
 // BenchmarkSaveCheckpoint measures one day's checkpoint as a durable
-// study pays it: saveCheckpoint builds every section, writes and
-// fsyncs the file, and prunes the day before. It runs on a finished
+// study pays it: saveCheckpoint builds every section, encodes the
+// snapshot and commits it into the study lake (the object written and
+// fsync'd, then the fsync'd journal frame). It runs on a finished
 // -short study, whose datasets and metrics are at their largest, so
 // this is the study's last and dearest checkpoint. The study runs on
-// a clean network, so its connection-counter table is empty.
+// a clean network, so its connection-counter table is empty. Each
+// iteration appends a journal frame, so quote a fixed -benchtime.
 func BenchmarkSaveCheckpoint(b *testing.B) {
 	st := finishedShortStudy()
-	dir := b.TempDir()
-	st.Cfg.Durability.Dir = dir
+	st.Cfg.Durability.Dir = b.TempDir()
 	day := dayIndex(world.StudyEnd())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -52,7 +52,7 @@ func BenchmarkSaveCheckpoint(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	fi, err := os.Stat(checkpoint.DayPath(dir, day+b.N-1))
+	fi, err := os.Stat(headObject(b, st))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,16 +61,15 @@ func BenchmarkSaveCheckpoint(b *testing.B) {
 
 // BenchmarkOpenSnapshot measures what malnetd pays to read a
 // generation before it builds the store: core.OpenSnapshotAt on the
-// -short study's last and largest snapshot, as BenchmarkSaveCheckpoint
-// writes it.
+// lake object of the -short study's last and largest snapshot, as
+// BenchmarkSaveCheckpoint commits it.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	st := finishedShortStudy()
 	st.Cfg.Durability.Dir = b.TempDir()
-	day := dayIndex(world.StudyEnd())
-	if err := st.saveCheckpoint(day); err != nil {
+	if err := st.saveCheckpoint(dayIndex(world.StudyEnd())); err != nil {
 		b.Fatal(err)
 	}
-	path := checkpoint.DayPath(st.Cfg.Durability.Dir, day)
+	path := headObject(b, st)
 	fi, err := os.Stat(path)
 	if err != nil {
 		b.Fatal(err)
@@ -83,4 +82,19 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(fi.Size()), "snapshot-bytes")
+}
+
+// headObject is the path of the object at the head of the study's
+// lake branch.
+func headObject(tb testing.TB, st *Study) string {
+	tb.Helper()
+	lk, err := st.runLake()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	head, err := lk.Head(st.Cfg.Durability.Branch)
+	if err != nil || head == nil {
+		tb.Fatalf("no commit on %q: %v", st.Cfg.Durability.Branch, err)
+	}
+	return lk.ObjectPath(head.Snapshot)
 }

@@ -11,6 +11,7 @@ import (
 
 	"malnet/internal/c2"
 	"malnet/internal/checkpoint"
+	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/world"
 )
@@ -19,10 +20,10 @@ import (
 //
 // A year-long study is a long single process; killing it used to mean
 // starting over. With CheckpointConfig.Dir set, the merge goroutine
-// writes a snapshot after each day's batch, and Resume restarts a
-// killed study from the newest snapshot with byte-identical output —
-// datasets, metrics snapshot, and journal all match an uninterrupted
-// run at any worker count.
+// commits a snapshot into the study's run lake after each day's batch,
+// and Resume restarts a killed study from the branch head with
+// byte-identical output — datasets, metrics snapshot, and journal all
+// match an uninterrupted run at any worker count.
 //
 // A snapshot does NOT serialize the world: the world is regenerated
 // from the seed and the shared clock is run forward to the snapshot
@@ -40,23 +41,24 @@ import (
 
 // CheckpointConfig makes a study durable.
 type CheckpointConfig struct {
-	// Dir is where snapshots are written (one file per checkpointed
-	// day, older days pruned). Empty disables checkpointing.
+	// Dir is the study's run lake (internal/lake), laid out on first
+	// use. Empty disables checkpointing.
 	Dir string
+	// Branch is the lake branch the commits land on ("main" when
+	// empty); Run is the run name they record ("seed-<seed>").
+	Branch, Run string
 	// Every writes a snapshot after every Every-th non-empty day
 	// batch; 0 or 1 means every batch.
 	Every int
-	// Resume restarts from the newest snapshot in Dir when one
-	// exists. The snapshot's config fingerprint must match the
-	// current run; a mismatch fails loudly naming the fields.
+	// Resume restarts from the newest snapshot on Branch when one
+	// exists. The snapshot's config fingerprint must match the current
+	// run; a mismatch fails loudly naming the fields.
 	Resume bool
-	// OnCheckpoint, when set, runs after each snapshot is durably on
-	// disk (written, fsync'd, and older days pruned). The study uses
-	// it to publish snapshots into a run lake; an error fails the
-	// day's checkpoint, not the study's data. Excluded from the config
-	// fingerprint along with the rest of CheckpointConfig
-	// (StudyConfig.Durability is json:"-"): publication side effects
-	// do not change study output.
+	// OnCheckpoint, when set, runs after each snapshot is committed,
+	// with the path of its lake object; an error fails the day's
+	// checkpoint, not the study's data. Like the rest of
+	// CheckpointConfig it is outside the config fingerprint
+	// (StudyConfig.Durability is json:"-").
 	OnCheckpoint func(day int, path string) error
 }
 
@@ -181,13 +183,31 @@ func dayIndex(day time.Time) int {
 	return int(day.Sub(world.StudyStart()).Hours() / 24)
 }
 
-// saveCheckpoint snapshots the study after dayIdx's batch. Runs on
-// the merge goroutine, so every field it reads is quiescent. The
-// journal is flushed first: Rewind truncates the trace file to the
-// checkpointed byte count, which is only meaningful if those bytes
-// had reached the file. Two Wall stages time it: checkpoint.write
-// (sections, encode, write, prune) and checkpoint.publish (the
-// OnCheckpoint callback, a lake commit under -lake-dir).
+// skippedCorrupt counts the commits a resume walked back past. A
+// damaged object is environmental, not study output, so the counter
+// exists only when a walk-back happened and no snapshot carries it.
+const skippedCorrupt = "checkpoint.skipped_corrupt"
+
+// runLake returns the run lake at Durability.Dir, opening it when the
+// study holds none for that directory.
+func (st *Study) runLake() (*lake.Lake, error) {
+	if dir := st.Cfg.Durability.Dir; st.lake == nil || st.lakeDir != dir {
+		lk, err := lake.Open(dir)
+		if err != nil {
+			return nil, err
+		}
+		st.lake, st.lakeDir = lk, dir
+	}
+	return st.lake, nil
+}
+
+// saveCheckpoint snapshots the study after dayIdx's batch and commits
+// it into the study's run lake. Runs on the merge goroutine, so every
+// field it reads is quiescent. The journal is flushed first: Rewind
+// truncates the trace file to the checkpointed byte count, which is
+// only meaningful if those bytes had reached the file. Two Wall stages
+// time it: checkpoint.write (sections, encode, lake commit) and
+// checkpoint.publish (the OnCheckpoint callback).
 func (st *Study) saveCheckpoint(dayIdx int) error {
 	fail := func(err error) error {
 		return fmt.Errorf("checkpoint day %d: %w", dayIdx, err)
@@ -213,6 +233,8 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 			chains[addr] = cs
 		}
 	}
+	metrics := st.obs.Root.Registry().Export()
+	delete(metrics.Counters, skippedCorrupt)
 
 	f := &checkpoint.File{}
 	f.Add("fingerprint", st.fingerprint())
@@ -221,7 +243,7 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 		v    any
 	}{
 		{"meta", meta},
-		{"metrics", st.obs.Root.Registry().Export()},
+		{"metrics", metrics},
 		{"world-metrics", st.W.Net.Obs().Registry().Export()},
 		{"attack-chains", chains},
 	} {
@@ -235,17 +257,19 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 	})
 	f.Add(datasetsSection, st.datasetsBuf)
 	f.Add(connSeqSection, st.W.Net.AppendConnSeqs(nil))
-	path := checkpoint.DayPath(st.Cfg.Durability.Dir, dayIdx)
-	if err := checkpoint.WriteFile(path, f); err != nil {
+	lk, err := st.runLake()
+	if err != nil {
 		return fail(err)
 	}
-	if err := checkpoint.Prune(st.Cfg.Durability.Dir, dayIdx); err != nil {
+	d := st.Cfg.Durability
+	c, err := lk.Commit(d.Branch, d.Run, st.W.Cfg.Seed, dayIdx, checkpoint.Encode(f))
+	if err != nil {
 		return fail(err)
 	}
 	stop()
-	if cb := st.Cfg.Durability.OnCheckpoint; cb != nil {
+	if cb := d.OnCheckpoint; cb != nil {
 		stop = st.obs.Wall.Timer("checkpoint.publish")
-		err := cb(dayIdx, path)
+		err := cb(dayIdx, lk.ObjectPath(c.Snapshot))
 		stop()
 		if err != nil {
 			return fail(err)
@@ -254,31 +278,46 @@ func (st *Study) saveCheckpoint(dayIdx int) error {
 	return nil
 }
 
-// resumeFromCheckpoint restores the newest valid snapshot in the
-// checkpoint dir, returning its day index, or -1 when the dir holds
-// none (the study then runs from the start). Called once, before the
-// daily loop, with the world freshly generated and the probing
-// schedule already on the clock.
+// resumeFromCheckpoint restores the newest snapshot on the study's
+// lake branch, returning its day index, or -1 when the branch has none
+// (the study then runs from the start). A commit whose object is
+// missing or fails its footer is passed over for its parent and
+// counted in checkpoint.skipped_corrupt, so a damaged head costs one
+// day, not the study. Called once, before the daily loop, with the
+// world freshly generated and the probing schedule already on the
+// clock.
 func (st *Study) resumeFromCheckpoint() (int, error) {
-	snap, skipped, err := checkpoint.Latest(st.Cfg.Durability.Dir)
+	lk, err := st.runLake()
 	if err != nil {
 		return -1, fmt.Errorf("resume: %w", err)
 	}
-	// Corrupt snapshots are environmental, not part of the study's
-	// deterministic output, so the counter only exists when the
-	// fallback actually fired — a clean resume's metrics snapshot
-	// stays byte-identical to an uninterrupted run's. Logged again
-	// after the registry Restore below, which would wipe it.
-	logSkipped := func() {
-		if skipped > 0 {
-			st.obs.Root.Counter("checkpoint.skipped_corrupt").Add(int64(skipped))
-		}
+	log, err := lk.Log(st.Cfg.Durability.Branch)
+	if err != nil {
+		return -1, fmt.Errorf("resume: %w", err)
 	}
-	if snap == nil {
-		logSkipped()
+	var (
+		f       *checkpoint.File
+		path    string
+		skipped int
+	)
+	for _, c := range log {
+		path = lk.ObjectPath(c.Snapshot)
+		if f, err = checkpoint.ReadFile(path); err == nil && f.SumHex() == c.Snapshot {
+			break
+		}
+		f = nil
+		skipped++
+	}
+	// Counted on the way out, after the registry Restore below, which
+	// would wipe it.
+	defer func() {
+		if skipped > 0 {
+			st.obs.Root.Counter(skippedCorrupt).Add(int64(skipped))
+		}
+	}()
+	if f == nil {
 		return -1, nil
 	}
-	f, path := snap.File, snap.Path
 	have, found := f.Section("fingerprint")
 	if !found {
 		return -1, fmt.Errorf("resume: %s has no config fingerprint", path)
@@ -334,8 +373,9 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 	wobs.EnableEvents(st.obs.Journal != nil)
 
 	// Replay reproduced the pure-function state; overwrite the rest.
-	st.obs.Root.Registry().Restore(metrics)
-	wobs.Registry().Restore(worldMetrics)
+	if err := restoreMetrics(st.obs.Root.Registry(), wobs.Registry(), metrics, worldMetrics); err != nil {
+		return -1, fmt.Errorf("resume: %s: %w", path, err)
+	}
 	if err := st.W.Net.RestoreConnSeqs(seqs); err != nil {
 		return -1, fmt.Errorf("resume: %s: %w", path, err)
 	}
@@ -351,8 +391,28 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 			return -1, fmt.Errorf("resume: %w", err)
 		}
 	}
-	logSkipped()
 	return meta.Day, nil
+}
+
+// restoreMetrics restores a snapshot's two metric dumps into the
+// study-plane and world-plane registries, and checks that the world
+// plane merges under "world." as a finished study's Metrics() merges
+// it. The footer is a checksum, not a signature, so the dumps are
+// checked like any other bytes from disk; the error names the
+// histogram whose buckets do not fit.
+func restoreMetrics(root, world *obs.Registry, metrics, worldMetrics obs.MetricsDump) error {
+	if err := root.Restore(metrics); err != nil {
+		return err
+	}
+	if err := world.Restore(worldMetrics); err != nil {
+		return err
+	}
+	for name, h := range worldMetrics.Hists {
+		if dst, found := metrics.Hists["world."+name]; found && len(dst.Counts) != len(h.Counts) {
+			return fmt.Errorf("checkpoint: histogram %q: %d bucket counts, cannot merge the world plane's %d", "world."+name, len(dst.Counts), len(h.Counts))
+		}
+	}
+	return nil
 }
 
 // StudySnapshot is the read-only view of a checkpointed study, the
@@ -362,10 +422,8 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 // plus the content-addressed generation id the response cache keys
 // on.
 type StudySnapshot struct {
-	// Path is the file the snapshot was read from; Day is its
-	// study-day index.
-	Path string
-	Day  int
+	// Day is the snapshot's study-day index.
+	Day int
 	// Generation is the snapshot file's SHA-256 integrity footer in
 	// hex: two byte-identical snapshots (e.g. the same study run at
 	// different worker counts) share a generation.
@@ -387,10 +445,16 @@ func OpenSnapshotAt(path string) (*StudySnapshot, *obs.Registry, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
 	}
-	ss := &StudySnapshot{
-		Path:       path,
-		Generation: f.SumHex(),
+	ss, reg, err := openSnapshot(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
 	}
+	return ss, reg, nil
+}
+
+// openSnapshot is OpenSnapshotAt on a decoded file.
+func openSnapshot(f *checkpoint.File) (*StudySnapshot, *obs.Registry, error) {
+	ss := &StudySnapshot{Generation: f.SumHex()}
 	var metrics, worldMetrics obs.MetricsDump
 	for _, s := range []struct {
 		name string
@@ -401,24 +465,25 @@ func OpenSnapshotAt(path string) (*StudySnapshot, *obs.Registry, error) {
 		{"world-metrics", &worldMetrics},
 	} {
 		if err := f.JSON(s.name, s.v); err != nil {
-			return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
+			return nil, nil, err
 		}
 	}
+	var err error
 	if ss.Datasets, err = readDatasets(f); err != nil {
-		return nil, nil, fmt.Errorf("open snapshot: %s: %w", path, err)
+		return nil, nil, err
 	}
 	ss.Day = ss.Meta.Day
 	if ss.Datasets.C2s == nil {
 		ss.Datasets.C2s = map[string]*C2Record{}
 	}
-	reg := obs.NewRegistry()
-	reg.Restore(metrics)
+	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
+	if err := restoreMetrics(reg, wreg, metrics, worldMetrics); err != nil {
+		return nil, nil, err
+	}
 	reg.Gauge("study.samples").Set(int64(len(ss.Datasets.Samples)))
 	reg.Gauge("study.c2s").Set(int64(len(ss.Datasets.C2s)))
 	reg.Gauge("study.exploit_findings").Set(int64(len(ss.Datasets.Exploits)))
 	reg.Gauge("study.ddos_observations").Set(int64(len(ss.Datasets.DDoS)))
-	wreg := obs.NewRegistry()
-	wreg.Restore(worldMetrics)
 	reg.MergePrefixed("world.", wreg)
 	return ss, reg, nil
 }

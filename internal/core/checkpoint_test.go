@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"malnet/internal/checkpoint"
+	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/world"
 )
@@ -41,17 +42,18 @@ type studyOutput struct {
 	datasets, metrics, journal string
 }
 
-// runCkptStudy executes one study against a fresh world. journalPath
-// is opened (created, or reopened without truncation when resuming)
-// and receives the trace. killDay < 0 runs to completion; otherwise a
+// runCkptStudy executes one study against a fresh world, durable in
+// the run lake at lakeDir unless lakeDir is empty. journalPath is
+// opened (created, or reopened without truncation when resuming) and
+// receives the trace. killDay < 0 runs to completion; otherwise a
 // context cancel is scheduled on the world clock killDay days into
 // the study and the run is expected to fail with context.Canceled.
 // tweaks adjust the study config last.
-func runCkptStudy(t *testing.T, seed int64, workers int, journalPath, ckptDir string, resume bool, killDay int, tweaks ...func(*StudyConfig)) studyOutput {
+func runCkptStudy(t *testing.T, seed int64, workers int, journalPath, lakeDir string, resume bool, killDay int, tweaks ...func(*StudyConfig)) studyOutput {
 	t.Helper()
 	w := world.Generate(ckptWorldConfig(seed))
 	scfg := ckptStudyConfig(seed, workers)
-	scfg.Durability = CheckpointConfig{Dir: ckptDir, Resume: resume}
+	scfg.Durability = CheckpointConfig{Dir: lakeDir, Resume: resume}
 	for _, tweak := range tweaks {
 		tweak(&scfg)
 	}
@@ -91,6 +93,22 @@ func runCkptStudy(t *testing.T, seed int64, workers int, journalPath, ckptDir st
 	}
 }
 
+// lakeHead returns the head commit of branch "main" in the study lake
+// at dir and the path of its object, failing the test when the branch
+// has no commit.
+func lakeHead(t *testing.T, dir string) (*lake.Commit, string) {
+	t.Helper()
+	lk, err := lake.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := lk.Head("main")
+	if err != nil || head == nil {
+		t.Fatalf("lake %s has no commit on main: head=%v err=%v", dir, head, err)
+	}
+	return head, lk.ObjectPath(head.Snapshot)
+}
+
 // TestCheckpointResumeEquivalence is the durability contract: a study
 // killed mid-run and resumed from its newest checkpoint produces
 // byte-identical datasets, metrics, and journal to one that was never
@@ -113,8 +131,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		{2, 17},
 		{8, 29},
 	} {
-		ckptDir := filepath.Join(base, "ckpt")
-		if err := os.RemoveAll(ckptDir); err != nil {
+		lakeDir := filepath.Join(base, "lake")
+		if err := os.RemoveAll(lakeDir); err != nil {
 			t.Fatal(err)
 		}
 		journal := filepath.Join(base, "run.jsonl")
@@ -122,8 +140,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		runCkptStudy(t, seed, tc.workers, journal, ckptDir, false, tc.killDay)
-		got := runCkptStudy(t, seed, tc.workers, journal, ckptDir, true, -1)
+		runCkptStudy(t, seed, tc.workers, journal, lakeDir, false, tc.killDay)
+		got := runCkptStudy(t, seed, tc.workers, journal, lakeDir, true, -1)
 
 		for _, cmp := range []struct {
 			what, got, want string
@@ -179,7 +197,7 @@ func TestCheckpointResumeEquivalenceFaulted(t *testing.T) {
 		}
 	}
 	refSums := map[int]string{}
-	ref := runCkptStudy(t, seed, 1, filepath.Join(base, "ref.jsonl"), filepath.Join(base, "ref-ckpt"), false, -1, faulted(refSums))
+	ref := runCkptStudy(t, seed, 1, filepath.Join(base, "ref.jsonl"), filepath.Join(base, "ref-lake"), false, -1, faulted(refSums))
 
 	probeDay := dayIndex(world.Generate(ckptWorldConfig(seed)).ProbeStart)
 	type killCase struct{ workers, killDay int }
@@ -190,24 +208,21 @@ func TestCheckpointResumeEquivalenceFaulted(t *testing.T) {
 		cases = append(cases, killCase{8, probeDay - 30}, killCase{1, probeDay + 7})
 	}
 	for _, tc := range cases {
-		ckptDir := filepath.Join(base, "ckpt")
+		lakeDir := filepath.Join(base, "lake")
 		journal := filepath.Join(base, "run.jsonl")
-		for _, p := range []string{ckptDir, journal} {
+		for _, p := range []string{lakeDir, journal} {
 			if err := os.RemoveAll(p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		runCkptStudy(t, seed, tc.workers, journal, ckptDir, false, tc.killDay, faulted(nil))
-		snap, _, err := checkpoint.Latest(ckptDir)
-		if err != nil || snap == nil {
-			t.Fatalf("killDay=%d left no checkpoint: %v", tc.killDay, err)
-		}
+		runCkptStudy(t, seed, tc.workers, journal, lakeDir, false, tc.killDay, faulted(nil))
+		snap, _ := lakeHead(t, lakeDir)
 		if (snap.Day < probeDay) != (tc.killDay < probeDay) {
 			t.Fatalf("killDay=%d resumes from day %d, on the wrong side of the sweep's start (day %d)", tc.killDay, snap.Day, probeDay)
 		}
 
 		sums := map[int]string{}
-		got := runCkptStudy(t, seed, tc.workers, journal, ckptDir, true, -1, faulted(sums))
+		got := runCkptStudy(t, seed, tc.workers, journal, lakeDir, true, -1, faulted(sums))
 		for _, cmp := range []struct {
 			what, got, want string
 		}{
@@ -240,31 +255,38 @@ func TestCheckpointResumeEquivalenceFaulted(t *testing.T) {
 
 // resumeFromOlderSnapshot kills a study at day 17, rewrites each
 // section of its newest snapshot through older (the shape an older
-// build wrote), and resumes from it. It returns the snapshot's path
-// and the resume's error.
+// build wrote), commits the rewritten snapshot as the new branch head,
+// and resumes from it. It returns the rewritten object's path and the
+// resume's error.
 func resumeFromOlderSnapshot(t *testing.T, older func(checkpoint.Section) checkpoint.Section) (string, error) {
 	t.Helper()
 	const seed = 11
 	base := t.TempDir()
-	ckptDir := filepath.Join(base, "ckpt")
+	lakeDir := filepath.Join(base, "lake")
 	journal := filepath.Join(base, "run.jsonl")
-	runCkptStudy(t, seed, 2, journal, ckptDir, false, 17)
-	snap, _, err := checkpoint.Latest(ckptDir)
-	if err != nil || snap == nil {
-		t.Fatalf("killed run left no checkpoint: %v", err)
+	runCkptStudy(t, seed, 2, journal, lakeDir, false, 17)
+	head, path := lakeHead(t, lakeDir)
+	snap, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	old := &checkpoint.File{}
 	for _, s := range snap.Sections {
 		s = older(s)
 		old.Add(s.Name, s.Data)
 	}
-	if err := checkpoint.WriteFile(snap.Path, old); err != nil {
+	lk, err := lake.Open(lakeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := lk.Commit(head.Branch, head.Run, head.Seed, head.Day, checkpoint.Encode(old))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	w := world.Generate(ckptWorldConfig(seed))
 	scfg := ckptStudyConfig(seed, 2)
-	scfg.Durability = CheckpointConfig{Dir: ckptDir, Resume: true}
+	scfg.Durability = CheckpointConfig{Dir: lakeDir, Resume: true}
 	jf, err := os.OpenFile(journal, os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +295,7 @@ func resumeFromOlderSnapshot(t *testing.T, older func(checkpoint.Section) checkp
 	scfg.Observability.Obs = obs.NewObserver()
 	scfg.Observability.Obs.SetJournal(jf)
 	_, err = RunStudyContext(context.Background(), w, scfg)
-	return snap.Path, err
+	return lk.ObjectPath(c.Snapshot), err
 }
 
 // TestCheckpointResumeRefusesJSONConnSeq: a snapshot whose connection
@@ -319,39 +341,53 @@ func TestCheckpointResumeRefusesJSONDatasets(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsCorruptCheckpoint: a corrupt snapshot shadowing the
-// newest valid one must not strand the run — resume falls back to
-// the valid snapshot, produces output byte-identical to an
-// uninterrupted study, and logs the fallback on the
-// checkpoint.skipped_corrupt counter (which exists only when the
-// fallback fired, so clean runs stay byte-identical).
-func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
+// TestCheckpointResumeWalksBackPastCorruptHead: a branch head whose
+// object is truncated must not strand the run. Resume walks back to
+// the head's parent, produces datasets, metrics and journal
+// byte-identical to an uninterrupted study, and logs the walk-back on
+// the checkpoint.skipped_corrupt counter (which exists only when the
+// walk-back fired, so clean runs stay byte-identical). Re-running the
+// lost day commits the same snapshot again, which rewrites the
+// damaged object.
+func TestCheckpointResumeWalksBackPastCorruptHead(t *testing.T) {
 	const seed = 11
 	base := t.TempDir()
 	ref := runCkptStudy(t, seed, 1, filepath.Join(base, "ref.jsonl"), "", false, -1)
 
-	ckptDir := filepath.Join(base, "ckpt")
+	lakeDir := filepath.Join(base, "lake")
 	journal := filepath.Join(base, "run.jsonl")
-	runCkptStudy(t, seed, 2, journal, ckptDir, false, 17)
+	runCkptStudy(t, seed, 2, journal, lakeDir, false, 90)
 
-	// Shadow the kill point's snapshot with a newer, truncated one —
-	// the shape a crash mid-write leaves on a filesystem without
-	// atomic rename.
-	snap, _, err := checkpoint.Latest(ckptDir)
-	if err != nil || snap == nil {
-		t.Fatalf("killed run left no checkpoint: %v", err)
+	// Truncate the kill point's snapshot: the shape a crash mid-write
+	// leaves on a filesystem without atomic rename. Day 90 is past the
+	// second checkpoint, so the head has a parent to walk back to.
+	head, path := lakeHead(t, lakeDir)
+	if head.Parent == 0 {
+		t.Fatalf("the killed run's head (day %d) has no parent to walk back to", head.Day)
 	}
-	enc, err := os.ReadFile(snap.Path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(checkpoint.DayPath(ckptDir, snap.Day+40), enc[:len(enc)/2], 0o644); err != nil {
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
 
-	got := runCkptStudy(t, seed, 2, journal, ckptDir, true, -1)
+	var rerun []int
+	got := runCkptStudy(t, seed, 2, journal, lakeDir, true, -1, func(scfg *StudyConfig) {
+		scfg.Durability.OnCheckpoint = func(day int, _ string) error {
+			rerun = append(rerun, day)
+			return nil
+		}
+	})
+	if len(rerun) == 0 || rerun[0] != head.Day {
+		t.Fatalf("the resumed run committed days %v, want the damaged head's day %d first: a damaged head costs one day", rerun, head.Day)
+	}
 	if got.datasets != ref.datasets {
-		t.Fatal("resume past a corrupt snapshot diverged from the uninterrupted run")
+		t.Fatal("resume past a corrupt head diverged from the uninterrupted run")
+	}
+	if got.journal != ref.journal {
+		t.Fatal("resume past a corrupt head journaled differently from the uninterrupted run")
 	}
 	const marker = "counter checkpoint.skipped_corrupt 1\n"
 	if !strings.Contains(got.metrics, marker) {
@@ -360,6 +396,44 @@ func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
 	if strings.Replace(got.metrics, marker, "", 1) != ref.metrics {
 		t.Fatal("resumed metrics differ from reference beyond the skipped_corrupt counter")
 	}
+	if f, err := checkpoint.ReadFile(path); err != nil || f.SumHex() != head.Snapshot {
+		t.Fatalf("the damaged head object after the re-run: err=%v, want it rewritten as %.12s", err, head.Snapshot)
+	}
+}
+
+// TestCheckpointResumeRefusesBadHistograms: the footer is a checksum,
+// not a signature, so a lake can hold an object whose metric dumps
+// carry a histogram with the wrong number of bucket counts for its
+// bounds, or one the world plane cannot merge into under "world.".
+// Such an object neither resumes a study nor opens for serving, and
+// both errors name the histogram.
+func TestCheckpointResumeRefusesBadHistograms(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		sections map[string]string
+		hist     string
+	}{
+		{"bucket count", map[string]string{
+			"metrics": `{"hists":{"x":{"bounds":[1,2],"counts":[1]}}}`,
+		}, `"x"`},
+		{"world merge", map[string]string{
+			"metrics":       `{"hists":{"world.x":{"bounds":[1],"counts":[0,1]}}}`,
+			"world-metrics": `{"hists":{"x":{"bounds":[1,2],"counts":[0,0,1]}}}`,
+		}, `"world.x"`},
+	} {
+		path, err := resumeFromOlderSnapshot(t, func(s checkpoint.Section) checkpoint.Section {
+			if dump, ok := tc.sections[s.Name]; ok {
+				s.Data = []byte(dump)
+			}
+			return s
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.hist) {
+			t.Fatalf("%s: resume: got %v, want an error naming histogram %s", tc.name, err, tc.hist)
+		}
+		if _, _, err := OpenSnapshotAt(path); err == nil || !strings.Contains(err.Error(), tc.hist) {
+			t.Fatalf("%s: opening the object: got %v, want an error naming histogram %s", tc.name, err, tc.hist)
+		}
+	}
 }
 
 // TestCheckpointFingerprintMismatch asserts the refusal path: a
@@ -367,27 +441,25 @@ func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
 // differently configured run, and the error must name the offending
 // fields.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
-	ckptDir := t.TempDir()
+	lakeDir := t.TempDir()
 	w := world.Generate(ckptWorldConfig(7))
 	scfg := ckptStudyConfig(7, 2)
 	scfg.Analysis.Probing = false
-	scfg.Durability = CheckpointConfig{Dir: ckptDir}
+	scfg.Durability = CheckpointConfig{Dir: lakeDir}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w.Clock.Schedule(world.StudyStart().AddDate(0, 0, 17), cancel)
 	if _, err := RunStudyContext(ctx, w, scfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run: %v", err)
 	}
-	if snap, _, _ := checkpoint.Latest(ckptDir); snap == nil {
-		t.Fatal("killed run left no checkpoint to test against")
-	}
+	lakeHead(t, lakeDir)
 
 	w2 := world.Generate(ckptWorldConfig(7))
 	scfg2 := ckptStudyConfig(7, 2)
 	scfg2.Analysis.Probing = false
 	scfg2.Determinism.Seed = 8
 	scfg2.Analysis.MinEngines = 7
-	scfg2.Durability = CheckpointConfig{Dir: ckptDir, Resume: true}
+	scfg2.Durability = CheckpointConfig{Dir: lakeDir, Resume: true}
 	_, err := RunStudyContext(context.Background(), w2, scfg2)
 	if err == nil {
 		t.Fatal("resume under a different config did not fail")
@@ -401,7 +473,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 
 // TestCheckpointWallStages: a durable -short study times every
 // checkpoint on the Wall in two stages, the write (sections, encode,
-// write, prune) and the publish (OnCheckpoint), and /metrics renders
+// lake commit) and the publish (OnCheckpoint), and /metrics renders
 // each with one count per checkpoint written. The Wall stays out of
 // the deterministic registry.
 func TestCheckpointWallStages(t *testing.T) {
@@ -434,4 +506,58 @@ func TestCheckpointWallStages(t *testing.T) {
 	if snap := st.Metrics().Snapshot(); strings.Contains(snap, "checkpoint.") {
 		t.Fatalf("a checkpoint Wall stage reached the deterministic snapshot:\n%s", snap)
 	}
+}
+
+// FuzzOpenSnapshot: no lake object panics the reader malnetd mounts
+// it with. The fuzzer mutates a real object's meta, metrics and
+// world-metrics sections, and each input is re-sealed with
+// checkpoint.Encode, so the mutations pass the footer and reach the
+// JSON decoders and the registry restore and merge behind it. Beside
+// the study's own sections, the seeds hold the two dumps that once
+// panicked the restore and the merge. Whatever opens must also render.
+// The input is opened from memory, with OpenSnapshotAt's decoder: a
+// file rewritten per input would make the fuzzer wait on the disk.
+func FuzzOpenSnapshot(f *testing.F) {
+	st := finishedShortStudy()
+	st.Cfg.Durability.Dir = f.TempDir()
+	if err := st.saveCheckpoint(dayIndex(world.StudyEnd())); err != nil {
+		f.Fatal(err)
+	}
+	real, err := checkpoint.ReadFile(headObject(f, st))
+	if err != nil {
+		f.Fatal(err)
+	}
+	section := func(name string) []byte {
+		b, found := real.Section(name)
+		if !found {
+			f.Fatalf("the study's snapshot has no %q section", name)
+		}
+		return b
+	}
+	meta, metrics, worldMetrics := section("meta"), section("metrics"), section("world-metrics")
+	f.Add(meta, metrics, worldMetrics)
+	f.Add(meta, []byte(`{"hists":{"x":{"bounds":[1,2],"counts":[1]}}}`), worldMetrics)
+	f.Add(meta, []byte(`{"hists":{"world.x":{"bounds":[1],"counts":[0,1]}}}`), []byte(`{"hists":{"x":{"bounds":[1,2],"counts":[0,0,1]}}}`))
+	f.Add([]byte(`{"day":-1}`), []byte(`{}`), []byte(`null`))
+	f.Fuzz(func(t *testing.T, meta, metrics, worldMetrics []byte) {
+		file := &checkpoint.File{}
+		for _, s := range real.Sections {
+			switch s.Name {
+			case "meta":
+				s.Data = meta
+			case "metrics":
+				s.Data = metrics
+			case "world-metrics":
+				s.Data = worldMetrics
+			}
+			file.Add(s.Name, s.Data)
+		}
+		sealed, err := checkpoint.Decode(checkpoint.Encode(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, reg, err := openSnapshot(sealed); err == nil {
+			reg.Snapshot()
+		}
+	})
 }

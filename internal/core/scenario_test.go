@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"malnet/internal/c2"
-	"malnet/internal/checkpoint"
 	"malnet/internal/intel"
 	"malnet/internal/obs"
 	"malnet/internal/world"
@@ -131,11 +130,11 @@ func TestScenarioStudyEquivalence(t *testing.T) {
 }
 
 // runScenCkptStudy is runCkptStudy against a scenario-packed world.
-func runScenCkptStudy(t *testing.T, seed int64, workers int, journalPath, ckptDir string, resume bool, killDay int) studyOutput {
+func runScenCkptStudy(t *testing.T, seed int64, workers int, journalPath, lakeDir string, resume bool, killDay int) studyOutput {
 	t.Helper()
 	w := world.Generate(scenWorldConfig(seed))
 	scfg := ckptStudyConfig(seed, workers)
-	scfg.Durability = CheckpointConfig{Dir: ckptDir, Resume: resume}
+	scfg.Durability = CheckpointConfig{Dir: lakeDir, Resume: resume}
 
 	jf, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -186,10 +185,10 @@ func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
 		t.Fatalf("reference render suspiciously small (%d bytes)", len(ref.datasets))
 	}
 
-	ckptDir := filepath.Join(base, "ckpt")
+	lakeDir := filepath.Join(base, "lake")
 	journal := filepath.Join(base, "run.jsonl")
-	runScenCkptStudy(t, seed, 2, journal, ckptDir, false, 90)
-	got := runScenCkptStudy(t, seed, 2, journal, ckptDir, true, -1)
+	runScenCkptStudy(t, seed, 2, journal, lakeDir, false, 90)
+	got := runScenCkptStudy(t, seed, 2, journal, lakeDir, true, -1)
 
 	for _, cmp := range []struct {
 		what, got, want string
@@ -216,20 +215,18 @@ func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
 // scenario configuration must not seed a run with another — the
 // refusal error names the scenario section.
 func TestScenarioFingerprintRefusesChange(t *testing.T) {
-	ckptDir := t.TempDir()
+	lakeDir := t.TempDir()
 	w := world.Generate(scenWorldConfig(29))
 	scfg := ckptStudyConfig(29, 2)
 	scfg.Analysis.Probing = false
-	scfg.Durability = CheckpointConfig{Dir: ckptDir}
+	scfg.Durability = CheckpointConfig{Dir: lakeDir}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w.Clock.Schedule(world.StudyStart().AddDate(0, 0, 17), cancel)
 	if _, err := RunStudyContext(ctx, w, scfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run: %v", err)
 	}
-	if snap, _, _ := checkpoint.Latest(ckptDir); snap == nil {
-		t.Fatal("killed run left no checkpoint to test against")
-	}
+	lakeHead(t, lakeDir)
 
 	// Resume with the DGA pack dropped: same base world, different
 	// scenario section.
@@ -238,7 +235,7 @@ func TestScenarioFingerprintRefusesChange(t *testing.T) {
 	w2 := world.Generate(wcfg2)
 	scfg2 := ckptStudyConfig(29, 2)
 	scfg2.Analysis.Probing = false
-	scfg2.Durability = CheckpointConfig{Dir: ckptDir, Resume: true}
+	scfg2.Durability = CheckpointConfig{Dir: lakeDir, Resume: true}
 	_, err := RunStudyContext(context.Background(), w2, scfg2)
 	if err == nil {
 		t.Fatal("resume under a different scenario did not fail")

@@ -11,6 +11,7 @@ import (
 	"malnet/internal/c2"
 	"malnet/internal/faultinject"
 	"malnet/internal/intel"
+	"malnet/internal/lake"
 	"malnet/internal/obs"
 	"malnet/internal/sandbox"
 	"malnet/internal/simnet"
@@ -360,6 +361,9 @@ type Study struct {
 	// datasetsBuf is saveCheckpoint's datasets.bin buffer, reused day
 	// after day: the file encoding copies the section out of it.
 	datasetsBuf []byte
+	// lake is the run lake at lakeDir, opened by runLake.
+	lake    *lake.Lake
+	lakeDir string
 }
 
 // Obs returns the study's observer (nil only for hand-built Study
@@ -434,6 +438,12 @@ func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Stu
 	}
 	if cfg.Analysis.MinEngines <= 0 {
 		cfg.Analysis.MinEngines = 5
+	}
+	if cfg.Durability.Branch == "" {
+		cfg.Durability.Branch = "main"
+	}
+	if cfg.Durability.Run == "" {
+		cfg.Durability.Run = fmt.Sprintf("seed-%d", w.Cfg.Seed)
 	}
 	if cfg.Observability.Obs == nil {
 		cfg.Observability.Obs = obs.NewObserver()

@@ -1,7 +1,7 @@
 // Package lake is the multi-run study lake: an append-only,
 // crash-safe store of checkpointed study snapshots with named
-// branches and time travel. Where internal/checkpoint keeps one
-// resumable snapshot per directory (older days pruned), the lake
+// branches and time travel. A durable study commits each day's
+// snapshot into its lake and resumes from its branch head; the lake
 // keeps every committed generation of every run — ablation branches,
 // seed sweeps, fault-level studies — so the serving layer can answer
 // cross-run queries ("this branch as of day 90", "diff these two
@@ -18,11 +18,12 @@
 //
 // Commit protocol — two durable steps, in order:
 //
-//  1. place the snapshot object: CommitFile hard-links the checkpoint
-//     file it read (checkpoint.LinkBytes: link to a temp name, fsync,
-//     rename, dir fsync), and Commit, or a link that cannot be made,
-//     writes the bytes (checkpoint.WriteBytes: temp file, fsync,
-//     rename, dir fsync)
+//  1. place the snapshot object: Commit, the study's path, writes the
+//     bytes (checkpoint.WriteBytes: temp file, fsync, rename, dir
+//     fsync); CommitFile, for a caller that wrote a checkpoint file of
+//     its own, hard-links that file (checkpoint.LinkBytes: link to a
+//     temp name, fsync, rename, dir fsync), or writes the bytes where
+//     the link cannot be made
 //  2. append the commit frame to the journal (fsync'd, self-sealed)
 //
 // The frame's fsync is the commit point. A crash before it leaves the
@@ -36,8 +37,7 @@
 // A linked object and the checkpoint file it was committed from are
 // one file under two names, so a committed checkpoint file must never
 // be modified in place. Replacing it (checkpoint.WriteFile renames a
-// new file over it) or removing it (checkpoint.Prune) leaves the
-// object whole.
+// new file over it) or removing it leaves the object whole.
 //
 // A refs/ directory, where older builds also kept each branch head,
 // is ignored and left in place.
@@ -86,7 +86,7 @@ type Commit struct {
 // Lake is a mounted lake directory. Reads (Head, Log, Logs, Resolve,
 // Branches) are safe concurrently with a writer; Commit and Compact
 // serialize through an in-process mutex — the lake assumes one
-// writing process, like the checkpoint directory it grew from.
+// writing process.
 type Lake struct {
 	dir string
 
@@ -170,8 +170,8 @@ func (l *Lake) Commit(branch, run string, seed int64, day int, data []byte) (*Co
 	return l.commit(branch, run, seed, day, data, nil)
 }
 
-// CommitFile commits the checkpoint at path (e.g. a day-NNN.ckpt the
-// study just wrote). A missing or damaged object is placed as a hard
+// CommitFile commits the checkpoint file at path, one the caller
+// wrote itself. A missing or damaged object is placed as a hard
 // link of that file rather than a copy (checkpoint.LinkBytes), so the
 // file must never be modified in place afterwards: the object would
 // change with it. Where the link cannot be made the bytes are written.

@@ -203,8 +203,8 @@ func TestLakeLogs(t *testing.T) {
 
 // TestLakeCommitFileLinks: CommitFile places the object as a hard link
 // of the checkpoint file it read, so the commit writes no object
-// bytes, and removing the file's name, as checkpoint.Prune does, leaves
-// the object whole. Another lake commits that object by link too.
+// bytes, and removing the file's name leaves the object whole. Another
+// lake commits that object by link too.
 func TestLakeCommitFileLinks(t *testing.T) {
 	dir := t.TempDir()
 	src := checkpoint.DayPath(filepath.Join(dir, "ckpt"), 10)

@@ -1,5 +1,7 @@
 package obs
 
+import "fmt"
+
 // The checkpoint plane: a Registry can be exported to a plain-data
 // dump (stored in a study snapshot) and later restored from one. The
 // restore is in-place — existing metric objects are mutated, never
@@ -62,9 +64,23 @@ func (r *Registry) Export() MetricsDump {
 // because the study restores a dump taken strictly later in the same
 // deterministic schedule, so the live registry's metric set is always
 // a subset of the dump's.
-func (r *Registry) Restore(d MetricsDump) {
+//
+// A dump is bytes from disk: Restore first checks every dumped
+// histogram's bucket count against its bounds, or against the bounds
+// of the registry's histogram of that name, and on a mismatch returns
+// an error naming the histogram and changes nothing.
+func (r *Registry) Restore(d MetricsDump) error {
 	if r == nil {
-		return
+		return nil
+	}
+	for name, hd := range d.Hists {
+		want := len(hd.Bounds) + 1
+		if h := r.hists[name]; h != nil {
+			want = len(h.counts)
+		}
+		if len(hd.Counts) != want {
+			return fmt.Errorf("obs: histogram %q: %d bucket counts, want %d", name, len(hd.Counts), want)
+		}
 	}
 	for name := range r.counters {
 		if _, ok := d.Counters[name]; !ok {
@@ -89,10 +105,8 @@ func (r *Registry) Restore(d MetricsDump) {
 	}
 	for name, hd := range d.Hists {
 		h := r.Histogram(name, hd.Bounds)
-		if len(h.counts) != len(hd.Counts) {
-			panic("obs: histogram bucket mismatch restoring " + name)
-		}
 		copy(h.counts, hd.Counts)
 		h.sum, h.n = hd.Sum, hd.N
 	}
+	return nil
 }

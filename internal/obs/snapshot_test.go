@@ -3,6 +3,7 @@ package obs
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -27,7 +28,9 @@ func TestRegistryExportRestore(t *testing.T) {
 	r.Histogram("h", []int64{10, 100}).Observe(5)
 	r.Histogram("later.hist", []int64{1}).Observe(1)
 
-	r.Restore(dump)
+	if err := r.Restore(dump); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.Snapshot(); got != want {
 		t.Fatalf("restored snapshot diverged:\ngot:\n%swant:\n%s", got, want)
 	}
@@ -43,9 +46,34 @@ func TestRegistryExportRestore(t *testing.T) {
 func TestRegistryExportRestoreRoundTripEmpty(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
-	r.Restore(NewRegistry().Export())
+	if err := r.Restore(NewRegistry().Export()); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.Snapshot(); got != "" {
 		t.Fatalf("restore from empty dump: %q", got)
+	}
+}
+
+// TestRegistryRestoreRefusesBadHistogram: a dumped histogram whose
+// bucket counts do not fit its bounds, or the bounds of the registry's
+// histogram of that name, is refused with an error naming it, and the
+// registry is left as it was.
+func TestRegistryRestoreRefusesBadHistogram(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Inc()
+	r.Histogram("live", []int64{10, 100}).Observe(42)
+	want := r.Snapshot()
+	for name, hd := range map[string]HistogramDump{
+		"x":    {Bounds: []int64{1, 2}, Counts: []int64{1}},
+		"live": {Bounds: []int64{10}, Counts: []int64{0, 1}},
+	} {
+		d := MetricsDump{Hists: map[string]HistogramDump{name: hd}}
+		if err := r.Restore(d); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("restoring %s %+v: err=%v, want an error naming it", name, hd, err)
+		}
+		if got := r.Snapshot(); got != want {
+			t.Fatalf("a refused restore changed the registry:\ngot:\n%swant:\n%s", got, want)
+		}
 	}
 }
 

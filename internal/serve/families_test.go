@@ -27,7 +27,7 @@ func scenarioCheckpointDir(t *testing.T) string {
 	if d := fixDirs[-1]; d != "" {
 		return d
 	}
-	ckpt := filepath.Join(fixtureBase, "scenario", "ckpt")
+	study := filepath.Join(fixtureBase, "scenario", "study")
 	wcfg := world.DefaultConfig(fixtureSeed)
 	wcfg.TotalSamples = fixtureSamples
 	wcfg.Scenario.Families = []string{c2.FamilyWisp, c2.FamilySora}
@@ -35,12 +35,12 @@ func scenarioCheckpointDir(t *testing.T) string {
 	scfg := core.Defaults(fixtureSeed)
 	scfg.Analysis.ProbeRounds = 4
 	scfg.Determinism.Workers = 2
-	scfg.Durability = core.CheckpointConfig{Dir: ckpt}
+	scfg.Durability = core.CheckpointConfig{Dir: study}
 	if _, err := core.RunStudyContext(context.Background(), world.Generate(wcfg), scfg); err != nil {
 		t.Fatalf("scenario fixture study failed: %v", err)
 	}
 	dir := filepath.Join(fixtureBase, "scenario", "lake")
-	commitLatest(t, ckpt, dir)
+	commitLatest(t, study, dir)
 	fixDirs[-1] = dir
 	return dir
 }

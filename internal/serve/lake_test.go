@@ -50,19 +50,19 @@ func buildLakeFixture(t *testing.T, workers int) *lakeFixture {
 		return f
 	}
 	base := filepath.Join(fixtureBase, fmt.Sprintf("lake-w%d", workers))
-	ckpt := filepath.Join(base, "ckpt")
+	study := filepath.Join(base, "study")
 	f := &lakeFixture{
 		lakeDir:   filepath.Join(base, "lake"),
 		midLake:   filepath.Join(base, "mid"),
 		finalLake: filepath.Join(base, "final"),
 	}
 
-	runStudy(t, ckpt, workers, 90, false)
-	mid, midObject := commitLatest(t, ckpt, f.lakeDir, f.midLake)
+	runStudy(t, study, workers, 90, false)
+	mid, midObject := commitLatest(t, study, f.lakeDir, f.midLake)
 	f.midDay, f.midObject = mid.Day, midObject
 
-	runStudy(t, ckpt, workers, -1, true)
-	final, finalObject := commitLatest(t, ckpt, f.lakeDir, f.finalLake)
+	runStudy(t, study, workers, -1, true)
+	final, finalObject := commitLatest(t, study, f.lakeDir, f.finalLake)
 	if final.Day <= f.midDay {
 		t.Fatalf("final checkpoint day %d not past mid day %d", final.Day, f.midDay)
 	}
@@ -433,7 +433,8 @@ func writeJSONDatasetsCheckpoint(t *testing.T, src, dst string) {
 // deterministic re-run) repairs the object, so the next Reload mounts
 // it. A head that an older build wrote, its datasets a JSON section
 // rather than datasets.bin, is refused the same way, and a daemon
-// will not mount a lake with such a head at all. The damaged commit is
+// will not mount a lake with such a head at all; so is a head whose
+// metrics dump does not fit its histogram bounds. The damaged commit is
 // made from a private copy of the fixture's object: CommitFile links
 // the object to the file it commits, so the in-place damage below
 // reaches that file too, and must not reach the shared fixture.
@@ -535,5 +536,47 @@ func TestServeLakeReloadDamagedObject(t *testing.T) {
 	}
 	if _, err := checkpoint.ReadFile(f.finalObject); err != nil {
 		t.Fatalf("the fixture's object after the damage and repair: %v", err)
+	}
+
+	// A head whose metrics dump holds a histogram with fewer bucket
+	// counts than its bounds, sealed with a valid footer, is refused by
+	// name too: no daemon mounts it, no reload swaps to it, and a
+	// selector naming it answers 500 each time it is asked, so the
+	// failed build is not kept.
+	crafted, err := checkpoint.ReadFile(f.finalObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range crafted.Sections {
+		if crafted.Sections[i].Name == "metrics" {
+			crafted.Sections[i].Data = []byte(`{"hists":{"x":{"bounds":[1,2],"counts":[1]}}}`)
+		}
+	}
+	bad, err := l.Commit("main", "r", fixtureSeed, f.finalDay, checkpoint.Encode(crafted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const badHist = `histogram "x"`
+	if _, err := New(dir, obs.NewWall()); err == nil || !strings.Contains(err.Error(), badHist) {
+		t.Fatalf("mounting a lake whose head holds a bad histogram: got %v, want %s named", err, badHist)
+	}
+	if changed, err := srv.Reload(); err == nil || changed || !strings.Contains(err.Error(), badHist) {
+		t.Fatalf("reload onto a bad histogram: changed=%v err=%v, want %s named", changed, err, badHist)
+	}
+	if got := srv.Store().Generation; got != final.Snapshot {
+		t.Fatalf("failed reload swapped the store to %.12s, want %.12s kept", got, final.Snapshot)
+	}
+	prom.Reset()
+	if err := wall.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\nmalnet_serve_reload_errors_total 3\n") {
+		t.Fatalf("/metrics wall section does not count the third failed reload:\n%s", prom.String())
+	}
+	for i := 0; i < 2; i++ {
+		path := fmt.Sprintf("/v1/headline?asof=%d", f.finalDay)
+		if status, body := get(t, ts, path); status != http.StatusInternalServerError || !strings.Contains(string(body), bad.Snapshot) {
+			t.Fatalf("GET %s (request %d) on a bad histogram: status %d, want 500 naming %s: %s", path, i+1, status, bad.Snapshot, body)
+		}
 	}
 }

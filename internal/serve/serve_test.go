@@ -48,9 +48,9 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// runStudy executes one checkpointed fixture study. killDay < 0 runs
-// to completion; otherwise the run is cancelled killDay days in and
-// must fail with context.Canceled.
+// runStudy executes one fixture study, durable in the study lake at
+// dir. killDay < 0 runs to completion; otherwise the run is cancelled
+// killDay days in and must fail with context.Canceled.
 func runStudy(t testing.TB, dir string, workers, killDay int, resume bool) {
 	t.Helper()
 	wcfg := world.DefaultConfig(fixtureSeed)
@@ -76,21 +76,25 @@ func runStudy(t testing.TB, dir string, workers, killDay int, resume bool) {
 	}
 }
 
-// commitLatest commits the newest checkpoint in ckptDir to branch
-// "main" of each lake in lakeDirs, creating the lakes on first use,
-// and returns the first lake's commit and object path.
-func commitLatest(t testing.TB, ckptDir string, lakeDirs ...string) (c *lake.Commit, object string) {
+// commitLatest commits the head object of the study lake at studyDir
+// to branch "main" of each lake in lakeDirs, creating the lakes on
+// first use, and returns the first lake's commit and object path.
+func commitLatest(t testing.TB, studyDir string, lakeDirs ...string) (c *lake.Commit, object string) {
 	t.Helper()
-	snap, _, err := checkpoint.Latest(ckptDir)
-	if err != nil || snap == nil {
-		t.Fatalf("no checkpoint in %s: snap=%v err=%v", ckptDir, snap, err)
+	study, err := lake.Open(studyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := study.Head("main")
+	if err != nil || head == nil {
+		t.Fatalf("no commit in %s: head=%v err=%v", studyDir, head, err)
 	}
 	for i, dir := range lakeDirs {
 		l, err := lake.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, err := l.CommitFile("main", fmt.Sprintf("seed-%d", fixtureSeed), fixtureSeed, snap.Day, snap.Path)
+		lc, err := l.CommitFile("main", fmt.Sprintf("seed-%d", fixtureSeed), fixtureSeed, head.Day, study.ObjectPath(head.Snapshot))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +108,7 @@ func commitLatest(t testing.TB, ckptDir string, lakeDirs ...string) (c *lake.Com
 // checkpointDir lazily builds (and caches for the whole test run) a
 // completed fixture study per worker count, with its final checkpoint
 // committed into a lake, and returns the lake's directory. The study's
-// own checkpoint directory is the lake's sibling "ckpt".
+// own lake is the lake's sibling "study".
 var (
 	fixMu   sync.Mutex
 	fixDirs = map[int]string{}
@@ -117,9 +121,9 @@ func checkpointDir(t testing.TB, workers int) string {
 		return d
 	}
 	base := filepath.Join(fixtureBase, fmt.Sprintf("w%d", workers))
-	runStudy(t, filepath.Join(base, "ckpt"), workers, -1, false)
+	runStudy(t, filepath.Join(base, "study"), workers, -1, false)
 	d := filepath.Join(base, "lake")
-	commitLatest(t, filepath.Join(base, "ckpt"), d)
+	commitLatest(t, filepath.Join(base, "study"), d)
 	fixDirs[workers] = d
 	return d
 }
@@ -361,12 +365,16 @@ func TestServeNoSnapshot(t *testing.T) {
 }
 
 // TestServeRefusesNonLake: New serves run lakes only. An empty
-// directory and a study's plain checkpoint directory are both
-// refused with an error naming the directory, and neither is laid
-// out as a lake: New writes nothing into the directory it is given.
+// directory and a checkpoint directory of day-NNN.ckpt files, as older
+// builds kept beside the lake, are both refused with an error naming
+// the directory, and neither is laid out as a lake: New writes nothing
+// into the directory it is given.
 func TestServeRefusesNonLake(t *testing.T) {
-	ckpt := filepath.Join(filepath.Dir(checkpointDir(t, 1)), "ckpt")
-	for _, dir := range []string{t.TempDir(), ckpt} {
+	older := t.TempDir()
+	if err := checkpoint.WriteFile(checkpoint.DayPath(older, 354), &checkpoint.File{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{t.TempDir(), older} {
 		before, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -411,10 +419,10 @@ func wallCounters(t *testing.T, wall *obs.Wall) map[string]int64 {
 // and an in-flight pagination cursor keeps working against the new
 // store.
 func TestServeHotReloadAndCache(t *testing.T) {
-	ckpt := filepath.Join(fixtureBase, "reload", "ckpt")
+	study := filepath.Join(fixtureBase, "reload", "study")
 	lakeDir := filepath.Join(fixtureBase, "reload", "lake")
-	runStudy(t, ckpt, 2, 90, false)
-	commitLatest(t, ckpt, lakeDir)
+	runStudy(t, study, 2, 90, false)
+	commitLatest(t, study, lakeDir)
 
 	wall := obs.NewWall()
 	red := redplane.New(redplane.Options{SlowThreshold: -1})
@@ -457,8 +465,8 @@ func TestServeHotReloadAndCache(t *testing.T) {
 	}
 
 	// Finish the study and commit it, then reload for real.
-	runStudy(t, ckpt, 2, -1, true)
-	commitLatest(t, ckpt, lakeDir)
+	runStudy(t, study, 2, -1, true)
+	commitLatest(t, study, lakeDir)
 	changed, err := srv.Reload()
 	if err != nil || !changed {
 		t.Fatalf("reload after new snapshot: changed=%v err=%v", changed, err)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Load-test smoke of the serving path: run a short checkpointed study
-# that commits into a run lake (the same fixture plumbing as
+# Load-test smoke of the serving path: run a short durable study into
+# its run lake (the same fixture plumbing as
 # scripts/smoke_serve.sh), boot malnetd on the lake with its debug
 # plane, drive an open-loop zipf burst from
 # cmd/malnetbench, and fail on any transport error or 5xx — or on
@@ -25,8 +25,8 @@ tmp="$(mktemp -d)"
 daemon_pid=""
 trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
 
-echo "running the fixture study (-short, checkpointed, lake-committed)..." >&2
-go run ./cmd/malnet -short -checkpoint-dir "$tmp/ckpt" -lake-dir "$tmp/lake" -out "$tmp/out" >/dev/null
+echo "running the fixture study (-short, durable in a run lake)..." >&2
+go run ./cmd/malnet -short -lake-dir "$tmp/lake" -out "$tmp/out" >/dev/null
 
 echo "starting malnetd..." >&2
 go build -o "$tmp/malnetd" ./cmd/malnetd

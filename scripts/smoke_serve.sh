@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the serving path: run a short checkpointed
-# study that commits every checkpoint into a run lake (-lake-dir),
+# End-to-end smoke test of the serving path: run a short durable study
+# that commits a snapshot per day batch into its run lake (-lake-dir),
 # point malnetd at that lake, query the /v1 API, and diff the
-# responses against committed goldens. The study, the checkpoint
-# bytes, and the serving layer are all deterministic, so any drift
-# anywhere in that chain shows up as a golden mismatch.
+# responses against committed goldens. The study, the snapshot bytes,
+# and the serving layer are all deterministic, so any drift anywhere
+# in that chain shows up as a golden mismatch.
 #
 # The run=/asof= selectors that resolve the branch head must replay
 # the bare goldens byte-for-byte; time travel, /v1/runs and /v1/diff
@@ -22,8 +22,8 @@ tmp="$(mktemp -d)"
 daemon_pid=""
 trap '[ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
 
-echo "running the fixture study (-short, scenario-packed, checkpointed, lake-committed)..." >&2
-go run ./cmd/malnet -short -scenarios wisp,sora -checkpoint-dir "$tmp/ckpt" -out "$tmp/out" \
+echo "running the fixture study (-short, scenario-packed, durable in a run lake)..." >&2
+go run ./cmd/malnet -short -scenarios wisp,sora -out "$tmp/out" \
   -lake-dir "$tmp/lake" -lake-run smoke >/dev/null
 
 echo "starting malnetd..." >&2

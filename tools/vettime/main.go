@@ -11,7 +11,8 @@
 // any non-test file there that creates files (os.WriteFile, os.Create,
 // os.OpenFile, os.Link) must also call os.Rename — the temp-file-plus-
 // rename pattern that makes snapshot writes atomic. A direct write
-// could leave a half-written day-NNN.ckpt for a resume to trip over.
+// could leave a half-written lake object or journal for a resume or a
+// mount to trip over.
 // internal/checkpoint and internal/lake additionally carry the fsync
 // half of that contract: a non-test file that opens writable handles
 // or makes hard links must call .Sync() (neither Close nor a link
@@ -134,8 +135,8 @@ var fileCreators = map[string]bool{
 
 // checkAtomicWrites flags internal/checkpoint files that create files
 // without renaming: checkpoint writes must be atomic (temp file +
-// os.Rename), or a crash can strand a torn snapshot at a real
-// day-NNN.ckpt path.
+// os.Rename), or a crash can strand a torn snapshot at a real object
+// path.
 func checkAtomicWrites(fset *token.FileSet, file *ast.File, path string) []string {
 	osName := ""
 	for _, imp := range file.Imports {
