@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -403,21 +404,40 @@ func BenchmarkStudyWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeSweepRound measures one D-PC2 probe round at study
+// scale: the -short world's six probe subnets across the twelve
+// Table 5 ports, 18,288 dials on a fresh network that holds one live
+// C2, each through its SYN timeout, refusal or engagement. It reports
+// time and bytes allocated per probe beside the per-round figures.
 func BenchmarkProbeSweepRound(b *testing.B) {
+	wcfg := world.DefaultConfig(42)
+	wcfg.TotalSamples = 150
+	subnets := world.Generate(wcfg).ProbeSubnets
+	probes := 0
+	for _, s := range subnets {
+		probes += len(s.Hosts())
+	}
+	probes *= len(core.ProbePorts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clock := simclock.New(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC))
 		net := simnet.New(clock, simnet.DefaultConfig())
-		subnet := simnet.SubnetFrom("203.0.113.0/24")
 		c2.NewServer(net, c2.ServerConfig{
-			Family: c2.FamilyMirai, Addr: simnet.Addr{IP: subnet.HostAt(5), Port: 1312},
+			Family: c2.FamilyMirai, Addr: simnet.Addr{IP: subnets[0].HostAt(5), Port: 1312},
 			Birth: clock.Now().Add(-time.Hour), Death: clock.Now().Add(48 * time.Hour), AlwaysOn: true,
 		})
-		core.RunProbing(net, core.ProbeConfig{
-			Subnets: []simnet.Subnet{subnet}, Ports: []uint16{1312},
-			Rounds: 1, Family: c2.FamilyMirai,
-		})
+		ps := core.RunProbing(net, core.ProbeConfig{Subnets: subnets, Rounds: 1, Family: c2.FamilyMirai})
+		if ps.ProbesSent != probes || len(ps.LiveC2s) != 1 {
+			b.Fatalf("round sent %d probes and found %d live C2s, want %d and 1", ps.ProbesSent, len(ps.LiveC2s), probes)
+		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/probe")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*probes), "B/probe")
 }
 
 var testTarget = netip.MustParseAddr("198.51.100.9")

@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -189,9 +193,15 @@ func dayIndex(day time.Time) int {
 const skippedCorrupt = "checkpoint.skipped_corrupt"
 
 // runLake returns the run lake at Durability.Dir, opening it when the
-// study holds none for that directory.
+// study holds none for that directory. lake.Open lays a lake out in
+// any directory, so a directory that holds something else, such as
+// an older build's checkpoint files, is refused instead: the study
+// would neither read it nor leave it as it was.
 func (st *Study) runLake() (*lake.Lake, error) {
 	if dir := st.Cfg.Durability.Dir; st.lake == nil || st.lakeDir != dir {
+		if !lake.IsLake(dir) && !emptyDir(dir) {
+			return nil, fmt.Errorf("%s is not a run lake (no journal.lake) and is not empty", dir)
+		}
 		lk, err := lake.Open(dir)
 		if err != nil {
 			return nil, err
@@ -199,6 +209,18 @@ func (st *Study) runLake() (*lake.Lake, error) {
 		st.lake, st.lakeDir = lk, dir
 	}
 	return st.lake, nil
+}
+
+// emptyDir reports whether dir has no entries. A directory that does
+// not exist, which lake.Open creates, counts as empty.
+func emptyDir(dir string) bool {
+	f, err := os.Open(dir)
+	if err != nil {
+		return errors.Is(err, fs.ErrNotExist)
+	}
+	defer f.Close()
+	_, err = f.Readdirnames(1)
+	return err == io.EOF
 }
 
 // saveCheckpoint snapshots the study after dayIdx's batch and commits
@@ -399,8 +421,11 @@ func (st *Study) resumeFromCheckpoint() (int, error) {
 // plane merges under "world." as a finished study's Metrics() merges
 // it. The footer is a checksum, not a signature, so the dumps are
 // checked like any other bytes from disk; the error names the
-// histogram whose buckets do not fit.
+// histogram whose buckets do not fit. The study's own histograms are
+// created first, so a dump that holds one with other bounds, which
+// the next merged batch could not add to, is refused too.
 func restoreMetrics(root, world *obs.Registry, metrics, worldMetrics obs.MetricsDump) error {
+	root.Histogram(eventsPerRun, eventBudgetBuckets)
 	if err := root.Restore(metrics); err != nil {
 		return err
 	}

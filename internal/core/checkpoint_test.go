@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -404,9 +405,10 @@ func TestCheckpointResumeWalksBackPastCorruptHead(t *testing.T) {
 // TestCheckpointResumeRefusesBadHistograms: the footer is a checksum,
 // not a signature, so a lake can hold an object whose metric dumps
 // carry a histogram with the wrong number of bucket counts for its
-// bounds, or one the world plane cannot merge into under "world.".
-// Such an object neither resumes a study nor opens for serving, and
-// both errors name the histogram.
+// bounds, one the world plane cannot merge into under "world.", or
+// one of the study's own with bounds its sandbox runs do not observe
+// it with. Such an object neither resumes a study nor opens for
+// serving, and both errors name the histogram.
 func TestCheckpointResumeRefusesBadHistograms(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -420,6 +422,9 @@ func TestCheckpointResumeRefusesBadHistograms(t *testing.T) {
 			"metrics":       `{"hists":{"world.x":{"bounds":[1],"counts":[0,1]}}}`,
 			"world-metrics": `{"hists":{"x":{"bounds":[1,2],"counts":[0,0,1]}}}`,
 		}, `"world.x"`},
+		{"foreign bounds", map[string]string{
+			"metrics": `{"hists":{"sandbox.events_per_run":{"bounds":[1],"counts":[0,1]}}}`,
+		}, `"sandbox.events_per_run"`},
 	} {
 		path, err := resumeFromOlderSnapshot(t, func(s checkpoint.Section) checkpoint.Section {
 			if dump, ok := tc.sections[s.Name]; ok {
@@ -432,6 +437,41 @@ func TestCheckpointResumeRefusesBadHistograms(t *testing.T) {
 		}
 		if _, _, err := OpenSnapshotAt(path); err == nil || !strings.Contains(err.Error(), tc.hist) {
 			t.Fatalf("%s: opening the object: got %v, want an error naming histogram %s", tc.name, err, tc.hist)
+		}
+	}
+}
+
+// TestDurableStudyRefusesNonLakeDir: a durable study pointed at a
+// directory that holds something other than a run lake, here a
+// checkpoint file an older build wrote, fails with an error naming
+// the directory, resumed or not, and leaves the directory's listing
+// as it was.
+func TestDurableStudyRefusesNonLakeDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "day-354.ckpt"), []byte("MALCKPT"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := listing()
+	for _, resume := range []bool{true, false} {
+		scfg := ckptStudyConfig(7, 1)
+		scfg.Durability = CheckpointConfig{Dir: dir, Resume: resume}
+		_, err := RunStudyContext(context.Background(), world.Generate(ckptWorldConfig(7)), scfg)
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("resume=%v: got %v, want an error naming %s", resume, err, dir)
+		}
+		if after := listing(); !slices.Equal(after, before) {
+			t.Fatalf("resume=%v: the refused directory now lists %v, want %v", resume, after, before)
 		}
 	}
 }
@@ -505,6 +545,28 @@ func TestCheckpointWallStages(t *testing.T) {
 	}
 	if snap := st.Metrics().Snapshot(); strings.Contains(snap, "checkpoint.") {
 		t.Fatalf("a checkpoint Wall stage reached the deterministic snapshot:\n%s", snap)
+	}
+}
+
+// TestStudyAdvanceWallStage: a study times the world clock's runs
+// between day batches, and its drain to study end, as the Wall stage
+// batch.advance. A clean -short study merges every batch at its own
+// anchor after the clock ran up to it, so /metrics counts one advance
+// per batch and one drain. The Wall stays out of the deterministic
+// registry.
+func TestStudyAdvanceWallStage(t *testing.T) {
+	st := finishedShortStudy()
+	var prom bytes.Buffer
+	if err := st.Obs().Wall.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	want := len(st.planBatches(-1)) + 1
+	if !strings.Contains(prom.String(), "\nmalnet_batch_advance_seconds_sum ") ||
+		!strings.Contains(prom.String(), fmt.Sprintf("\nmalnet_batch_advance_seconds_count %d\n", want)) {
+		t.Fatalf("/metrics lacks malnet_batch_advance_seconds_sum, or its _count is not %d:\n%s", want, prom.String())
+	}
+	if snap := st.Metrics().Snapshot(); strings.Contains(snap, "advance") {
+		t.Fatalf("the batch.advance Wall stage reached the deterministic snapshot:\n%s", snap)
 	}
 }
 

@@ -414,7 +414,7 @@ func (st *Study) analyzeStatic(sh *shard, out *sampleOutcome) {
 	if isoRep.Activated {
 		reg.Counter("sandbox.activations").Inc()
 	}
-	reg.Histogram("sandbox.events_per_run", eventBudgetBuckets).Observe(int64(isoRep.EventsFired))
+	reg.Histogram(eventsPerRun, eventBudgetBuckets).Observe(int64(isoRep.EventsFired))
 	if isoRep.TimedOut {
 		reg.Counter("sandbox.watchdog_aborts").Inc()
 	}
@@ -429,9 +429,12 @@ func (st *Study) analyzeStatic(sh *shard, out *sampleOutcome) {
 	out.isoCands = DetectC2(isoRep, 2)
 }
 
-// eventBudgetBuckets sizes the events-per-activation histogram: a
-// healthy run fires hundreds to thousands of events; the top bucket
-// boundary matches the default watchdog budget.
+// eventsPerRun is the study's one histogram, of events fired per
+// sandbox activation. eventBudgetBuckets sizes it: a healthy run fires
+// hundreds to thousands of events; the top bucket boundary matches
+// the default watchdog budget.
+const eventsPerRun = "sandbox.events_per_run"
+
 var eventBudgetBuckets = []int64{100, 1_000, 10_000, 100_000, 1 << 20}
 
 // spanReport annotates a stage span with an activation report and

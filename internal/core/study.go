@@ -511,12 +511,19 @@ func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Stu
 	}
 
 	resumedThrough := -1
-	if cfg.Durability.Resume && cfg.Durability.Dir != "" {
-		day, err := st.resumeFromCheckpoint()
-		if err != nil {
+	if cfg.Durability.Dir != "" {
+		// Open the run lake before any work, so a directory that is
+		// not one fails the study at once.
+		if _, err := st.runLake(); err != nil {
 			return st, err
 		}
-		resumedThrough = day
+		if cfg.Durability.Resume {
+			day, err := st.resumeFromCheckpoint()
+			if err != nil {
+				return st, err
+			}
+			resumedThrough = day
+		}
 	}
 
 	// Daily loop: the feeder runs each day batch's pure stage ahead
@@ -530,9 +537,13 @@ func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Stu
 	if saveEvery <= 0 {
 		saveEvery = 1
 	}
+	// batch.advance times the world clock's runs between batches and
+	// to study end: probe sweeps and timers outside live windows.
 	for i, b := range batches {
 		if clock.Now().Before(b.anchor) {
+			stop := st.obs.Wall.Timer("batch.advance")
 			clock.RunUntil(b.anchor)
+			stop()
 		}
 		if err := st.runBatch(ex, sb, b); err != nil {
 			// A cancelled run keeps its last completed-batch
@@ -554,7 +565,9 @@ func RunStudyContext(ctx context.Context, w *world.World, cfg StudyConfig) (*Stu
 			end = probeEnd
 		}
 	}
+	stop := st.obs.Wall.Timer("batch.advance")
 	clock.RunUntil(end)
+	stop()
 
 	st.finalizeC2Records()
 	st.finalizeObs()

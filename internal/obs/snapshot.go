@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The checkpoint plane: a Registry can be exported to a plain-data
 // dump (stored in a study snapshot) and later restored from one. The
@@ -66,19 +69,19 @@ func (r *Registry) Export() MetricsDump {
 // a subset of the dump's.
 //
 // A dump is bytes from disk: Restore first checks every dumped
-// histogram's bucket count against its bounds, or against the bounds
-// of the registry's histogram of that name, and on a mismatch returns
-// an error naming the histogram and changes nothing.
+// histogram's bounds against those of the registry's histogram of
+// that name, if it has one, and its bucket count against its bounds.
+// On a mismatch it returns an error naming the histogram and changes
+// nothing.
 func (r *Registry) Restore(d MetricsDump) error {
 	if r == nil {
 		return nil
 	}
 	for name, hd := range d.Hists {
-		want := len(hd.Bounds) + 1
-		if h := r.hists[name]; h != nil {
-			want = len(h.counts)
+		if h := r.hists[name]; h != nil && !slices.Equal(hd.Bounds, h.bounds) {
+			return fmt.Errorf("obs: histogram %q: bounds %v, want %v", name, hd.Bounds, h.bounds)
 		}
-		if len(hd.Counts) != want {
+		if want := len(hd.Bounds) + 1; len(hd.Counts) != want {
 			return fmt.Errorf("obs: histogram %q: %d bucket counts, want %d", name, len(hd.Counts), want)
 		}
 	}

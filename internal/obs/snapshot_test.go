@@ -55,18 +55,25 @@ func TestRegistryExportRestoreRoundTripEmpty(t *testing.T) {
 }
 
 // TestRegistryRestoreRefusesBadHistogram: a dumped histogram whose
-// bucket counts do not fit its bounds, or the bounds of the registry's
-// histogram of that name, is refused with an error naming it, and the
-// registry is left as it was.
+// bucket counts do not fit its bounds, or whose bounds differ from
+// those of the registry's histogram of that name, even in value
+// alone, is refused with an error naming it, and the registry is left
+// as it was.
 func TestRegistryRestoreRefusesBadHistogram(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
 	r.Histogram("live", []int64{10, 100}).Observe(42)
 	want := r.Snapshot()
-	for name, hd := range map[string]HistogramDump{
-		"x":    {Bounds: []int64{1, 2}, Counts: []int64{1}},
-		"live": {Bounds: []int64{10}, Counts: []int64{0, 1}},
+	for _, tc := range []struct {
+		name string
+		hd   HistogramDump
+	}{
+		{"x", HistogramDump{Bounds: []int64{1, 2}, Counts: []int64{1}}},
+		{"live", HistogramDump{Bounds: []int64{10}, Counts: []int64{0, 1}}},
+		// The live histogram's bucket count, other bounds.
+		{"live", HistogramDump{Bounds: []int64{10, 200}, Counts: []int64{0, 1, 0}}},
 	} {
+		name, hd := tc.name, tc.hd
 		d := MetricsDump{Hists: map[string]HistogramDump{name: hd}}
 		if err := r.Restore(d); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Fatalf("restoring %s %+v: err=%v, want an error naming it", name, hd, err)

@@ -24,6 +24,14 @@
 // that carry their own order keys. A hot caller schedules a Handler
 // with an argument instead of a closure, so its events allocate
 // nothing either.
+//
+// Events scheduled back to back for one instant form a run: the
+// first takes a heap entry and the rest wait behind it in a FIFO.
+// Sequence numbers rise with every schedule, so nothing pending can
+// order between two neighbours of a run; popping a run's head hands
+// its heap entry to the next event in place, with no sift. A sweep
+// that arms thousands of identical timeouts in one handler costs one
+// heap entry.
 package simclock
 
 import (
@@ -60,8 +68,21 @@ type event struct {
 	seq uint64 // tie-breaker: FIFO among equal timestamps
 	h   Handler
 	arg uint64
-	pos int32 // index in Clock.heap; -1 while the slot is free
+	// pos is the event's index in Clock.heap while it heads a run,
+	// posQueued while it waits behind another event, posFree while
+	// the slot is free.
+	pos int32
+	// prev and next link the event into its run as slot+1; 0 is none,
+	// so a freshly written slot is a run of one. Only unlink reads
+	// prev, so a head's is left stale.
+	prev, next int32
 }
+
+// event.pos values that are not heap indices.
+const (
+	posFree   int32 = -1
+	posQueued int32 = -2
+)
 
 // entry is one pending event in the heap: its slab slot and a copy of
 // its order key, so sifting compares without touching the slab. The
@@ -92,7 +113,9 @@ type Clock struct {
 	now     time.Time
 	slab    []event
 	free    []int32 // recycled slab slots
-	heap    []entry // min-heap ordered by (sec, nsec, seq)
+	heap    []entry // run heads, a min-heap ordered by (sec, nsec, seq)
+	queued  int     // pending events behind a run head
+	last    int32   // slot+1 of the newest event while it is pending; 0 is none
 	nextSeq uint64
 	running bool
 }
@@ -139,8 +162,18 @@ func (c *Clock) ScheduleCall(at time.Time, h Handler, arg uint64) EventID {
 		c.slab = append(c.slab, event{})
 	}
 	c.slab[slot] = event{at: at, seq: c.nextSeq, h: h, arg: arg}
-	c.heap = append(c.heap, entry{sec: at.Unix(), nsec: int32(at.Nanosecond()), seq: c.nextSeq, slot: slot})
-	c.up(len(c.heap) - 1)
+	if l := c.last; l != 0 && c.slab[l-1].at.Equal(at) {
+		// The newest pending event is at the same instant and nothing
+		// was scheduled since: queue behind it.
+		c.slab[l-1].next = slot + 1
+		c.slab[slot].prev = l
+		c.slab[slot].pos = posQueued
+		c.queued++
+	} else {
+		c.heap = append(c.heap, entry{sec: at.Unix(), nsec: int32(at.Nanosecond()), seq: c.nextSeq, slot: slot})
+		c.up(len(c.heap) - 1)
+	}
+	c.last = slot + 1
 	return EventID(c.nextSeq<<32 | uint64(slot+1))
 }
 
@@ -159,15 +192,20 @@ func (c *Clock) Cancel(id EventID) bool {
 		return false
 	}
 	e := &c.slab[slot]
-	if e.pos < 0 || uint32(e.seq) != uint32(id>>32) {
+	if e.pos == posFree || uint32(e.seq) != uint32(id>>32) {
 		return false
 	}
-	c.release(c.remove(int(e.pos)))
+	if e.pos == posQueued {
+		c.unlink(int32(slot))
+	} else {
+		c.pop(int(e.pos))
+	}
+	c.release(int32(slot))
 	return true
 }
 
 // Pending returns the number of scheduled events.
-func (c *Clock) Pending() int { return len(c.heap) }
+func (c *Clock) Pending() int { return len(c.heap) + c.queued }
 
 // NextAt returns the timestamp of the earliest pending event. The
 // second result is false when the queue is empty.
@@ -184,7 +222,7 @@ func (c *Clock) Step() bool {
 	if len(c.heap) == 0 {
 		return false
 	}
-	slot := c.remove(0)
+	slot := c.pop(0)
 	// Copy out before the call: the handler may schedule, growing
 	// (and moving) the slab, and its slot is already free for reuse.
 	e := &c.slab[slot]
@@ -235,6 +273,7 @@ func (c *Clock) Reset(start time.Time) {
 	}
 	c.now = start
 	c.slab, c.free, c.heap = nil, nil, nil
+	c.queued, c.last = 0, 0
 }
 
 // RunBudget is RunUntil with an event budget: it fires at most
@@ -284,14 +323,42 @@ func (c *Clock) Drain(limit int) int {
 	return fired
 }
 
-// release returns a slot, already out of the heap, to the free list.
-// The handler is dropped so the slab does not keep what it references
-// alive.
+// release returns a slot, already out of the pending set, to the
+// free list. The handler is dropped so the slab does not keep what it
+// references alive.
 func (c *Clock) release(slot int32) {
 	e := &c.slab[slot]
 	e.h = nil
-	e.pos = -1
+	e.pos = posFree
 	c.free = append(c.free, slot)
+	if c.last == slot+1 {
+		c.last = 0
+	}
+}
+
+// pop takes the run head at heap index i out of the pending set and
+// returns its slot. The next event of its run, if any, takes over the
+// heap entry in place: nothing pending orders between the two, so
+// the heap stays ordered without a sift.
+func (c *Clock) pop(i int) int32 {
+	head := c.heap[i]
+	next := c.slab[head.slot].next
+	if next == 0 {
+		return c.remove(i)
+	}
+	c.queued--
+	c.place(i, entry{sec: head.sec, nsec: head.nsec, seq: c.slab[next-1].seq, slot: next - 1})
+	return head.slot
+}
+
+// unlink takes a queued event out of its run.
+func (c *Clock) unlink(slot int32) {
+	e := &c.slab[slot]
+	c.slab[e.prev-1].next = e.next
+	if e.next != 0 {
+		c.slab[e.next-1].prev = e.prev
+	}
+	c.queued--
 }
 
 // place puts e at heap index i and records the index in its slot.

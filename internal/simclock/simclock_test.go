@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -437,16 +438,36 @@ func (r *refClock) cancel(label int) bool {
 	return false
 }
 
+// less orders two pending events by (at, seq).
+func (a refEvent) less(b refEvent) bool {
+	return a.at.Before(b.at) || a.at.Equal(b.at) && a.seq < b.seq
+}
+
 // next returns the index of the least pending (at, seq), or -1.
 func (r *refClock) next() int {
 	best := -1
 	for i, e := range r.pending {
-		if best < 0 || e.at.Before(r.pending[best].at) ||
-			(e.at.Equal(r.pending[best].at) && e.seq < r.pending[best].seq) {
+		if best < 0 || e.less(r.pending[best]) {
 			best = i
 		}
 	}
 	return best
+}
+
+// nth returns the label of the pending event that fires k-th from
+// now, counting from 0 and wrapping around, or -1 with none pending.
+func (r *refClock) nth(k int) int {
+	if len(r.pending) == 0 {
+		return -1
+	}
+	order := slices.Clone(r.pending)
+	slices.SortFunc(order, func(a, b refEvent) int {
+		if a.less(b) {
+			return -1
+		}
+		return 1
+	})
+	return order[k%len(order)].label
 }
 
 func (r *refClock) step() bool {
@@ -479,8 +500,16 @@ func (r *refClock) runBudget(deadline time.Time, max int) (int, bool) {
 	return fired, false
 }
 
+// reset drops every pending event, as Clock.Reset does; labels keep
+// counting.
+func (r *refClock) reset(start time.Time) {
+	r.now = start
+	r.pending = nil
+}
+
 // childDelay makes some callbacks schedule a follow-up, so the clock
-// grows its slab from inside Step.
+// grows its slab from inside Step. A zero delay lands on the firing
+// event's own instant, behind whatever is queued there.
 func childDelay(label int) (time.Duration, bool) {
 	return time.Duration(label%3) * time.Hour, label%4 == 0
 }
@@ -491,93 +520,222 @@ type labelHandler struct{ fire func(label int) }
 
 func (h *labelHandler) Fire(arg uint64) { h.fire(int(arg)) }
 
+// refInstants are the bases test instants are drawn from: the zero
+// Clock's year 1, 2021, and year 3000. Year 1 and 3000 lie outside
+// UnixNano's 1678–2262 range, where an ordering by UnixNano puts 3000
+// before 2021.
+var refInstants = []time.Time{{}, t0, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)}
+
+// refInstant maps k onto one of 36 instants: a base, 0–5 hours past
+// it, and on the second or half a second past it, so ties exercise
+// the sequence order and the nanoseconds take part.
+func refInstant(k int) time.Time {
+	return refInstants[k%3].Add(time.Duration(k/3%6)*time.Hour + time.Duration(k/18%2)*time.Second/2)
+}
+
+// clockPair drives the zero Clock and the oracle through the same
+// operations and fails the test at the first disagreement in what
+// fired, Now, Pending or NextAt. About half the events go through
+// ScheduleCall, interleaved with closures, so both forms share one
+// order.
+type clockPair struct {
+	t     *testing.T
+	where func() string // names the operation for a failure
+	c     Clock
+	ref   refClock
+	fired []int
+	ids   []EventID // by label
+	h     *labelHandler
+}
+
+func newClockPair(t *testing.T, where func() string) *clockPair {
+	p := &clockPair{t: t, where: where}
+	p.h = &labelHandler{fire: p.onFire}
+	return p
+}
+
+func (p *clockPair) onFire(label int) {
+	p.fired = append(p.fired, label)
+	if d, ok := childDelay(label); ok {
+		p.scheduleClock(p.c.Now().Add(d))
+	}
+}
+
+func (p *clockPair) scheduleClock(at time.Time) {
+	label := len(p.ids)
+	if label/3%2 == 0 {
+		p.ids = append(p.ids, p.c.ScheduleCall(at, p.h, uint64(label)))
+		return
+	}
+	p.ids = append(p.ids, p.c.Schedule(at, func() { p.onFire(label) }))
+}
+
+// burst schedules n events back to back at one instant: a run.
+func (p *clockPair) burst(at time.Time, n int) {
+	for i := 0; i < n; i++ {
+		p.scheduleClock(at)
+		p.ref.schedule(at)
+	}
+}
+
+// cancel cancels the event with the given label, which may have
+// fired, been cancelled, or predate a Reset.
+func (p *clockPair) cancel(label int) {
+	if label < 0 || label >= len(p.ids) {
+		return
+	}
+	if got, want := p.c.Cancel(p.ids[label]), p.ref.cancel(label); got != want {
+		p.t.Fatalf("%s: Cancel(label %d) = %v, want %v", p.where(), label, got, want)
+	}
+}
+
+// cancelPending cancels the pending event that would fire k-th: a
+// run's head, a middle event or its tail.
+func (p *clockPair) cancelPending(k int) { p.cancel(p.ref.nth(k)) }
+
+func (p *clockPair) step() {
+	if got, want := p.c.Step(), p.ref.step(); got != want {
+		p.t.Fatalf("%s: Step = %v, want %v", p.where(), got, want)
+	}
+}
+
+func (p *clockPair) runUntil(deadline time.Time) {
+	got := p.c.RunUntil(deadline)
+	if want, _ := p.ref.runBudget(deadline, 0); got != want {
+		p.t.Fatalf("%s: RunUntil fired %d, want %d", p.where(), got, want)
+	}
+}
+
+func (p *clockPair) runBudget(deadline time.Time, max int) {
+	got, gotEx := p.c.RunBudget(deadline, max)
+	if want, wantEx := p.ref.runBudget(deadline, max); got != want || gotEx != wantEx {
+		p.t.Fatalf("%s: RunBudget = (%d, %v), want (%d, %v)", p.where(), got, gotEx, want, wantEx)
+	}
+}
+
+func (p *clockPair) reset(start time.Time) {
+	p.c.Reset(start)
+	p.ref.reset(start)
+}
+
+// check compares everything the two clocks expose.
+func (p *clockPair) check() {
+	if len(p.ids) != p.ref.labels {
+		p.t.Fatalf("%s: %d events scheduled, reference %d", p.where(), len(p.ids), p.ref.labels)
+	}
+	if !slices.Equal(p.fired, p.ref.fired) {
+		p.t.Fatalf("%s: fired %v, want %v", p.where(), p.fired, p.ref.fired)
+	}
+	if !p.c.Now().Equal(p.ref.now) {
+		p.t.Fatalf("%s: Now = %v, want %v", p.where(), p.c.Now(), p.ref.now)
+	}
+	if p.c.Pending() != len(p.ref.pending) {
+		p.t.Fatalf("%s: Pending = %d, want %d", p.where(), p.c.Pending(), len(p.ref.pending))
+	}
+	at, ok := p.c.NextAt()
+	if i := p.ref.next(); ok != (i >= 0) || ok && !at.Equal(p.ref.pending[i].at) {
+		p.t.Fatalf("%s: NextAt = %v, %v; reference disagrees", p.where(), at, ok)
+	}
+}
+
 // TestClockMatchesReference drives the clock and the sorted-list
 // oracle through the same random interleaving of Schedule, Cancel,
 // Step, RunUntil and RunBudget, starting from the zero Clock (year 1)
-// and jumping to 2021 and year 3000. Year 1 and 3000 lie outside
-// UnixNano's 1678–2262 range, where an ordering by UnixNano puts 3000
-// before 2021. Timestamps come from a small set so ties exercise the
-// sequence order, and half of them fall mid-second so the nanoseconds
-// take part. About half the events go through ScheduleCall,
-// interleaved with closures, so both forms share one order.
+// and jumping to 2021 and year 3000. Half the schedules are bursts of
+// 1–50 events at one instant, which the clock keeps as runs, and half
+// the cancels pick a pending event by its place in the firing order,
+// so run heads, middles and tails are all cancelled.
 func TestClockMatchesReference(t *testing.T) {
-	bases := []time.Time{{}, t0, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)}
-	instant := func(rng *rand.Rand) time.Time {
-		return bases[rng.Intn(len(bases))].Add(time.Duration(rng.Intn(6))*time.Hour + time.Duration(rng.Intn(2))*time.Second/2)
-	}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var c Clock
-		ref := &refClock{}
-		var fired []int
-		var ids []EventID // by label
-		var schedule func(at time.Time)
-		onFire := func(label int) {
-			fired = append(fired, label)
-			if d, ok := childDelay(label); ok {
-				schedule(c.Now().Add(d))
-			}
-		}
-		h := &labelHandler{fire: onFire}
-		schedule = func(at time.Time) {
-			label := len(ids)
-			if label/3%2 == 0 {
-				ids = append(ids, c.ScheduleCall(at, h, uint64(label)))
-				return
-			}
-			ids = append(ids, c.Schedule(at, func() { onFire(label) }))
-		}
-		for op := 0; op < 400; op++ {
+		op := 0
+		p := newClockPair(t, func() string { return fmt.Sprintf("seed %d op %d", seed, op) })
+		for ; op < 400; op++ {
 			switch k := rng.Intn(10); {
 			case k < 4:
-				at := instant(rng)
-				schedule(at)
-				ref.schedule(at)
-			case k < 6:
-				if len(ids) == 0 {
-					continue
+				n := 1
+				if rng.Intn(2) == 0 {
+					n += rng.Intn(50)
 				}
-				label := rng.Intn(len(ids))
-				if got, want := c.Cancel(ids[label]), ref.cancel(label); got != want {
-					t.Fatalf("seed %d op %d: Cancel(label %d) = %v, want %v", seed, op, label, got, want)
+				p.burst(refInstant(rng.Intn(36)), n)
+			case k < 6:
+				if rng.Intn(2) == 0 {
+					p.cancel(rng.Intn(len(p.ids) + 1))
+				} else {
+					p.cancelPending(rng.Intn(64))
 				}
 			case k < 8:
-				if got, want := c.Step(), ref.step(); got != want {
-					t.Fatalf("seed %d op %d: Step = %v, want %v", seed, op, got, want)
-				}
+				p.step()
 			case k < 9:
-				deadline := instant(rng)
-				got := c.RunUntil(deadline)
-				want, _ := ref.runBudget(deadline, 0)
-				if got != want {
-					t.Fatalf("seed %d op %d: RunUntil fired %d, want %d", seed, op, got, want)
-				}
+				p.runUntil(refInstant(rng.Intn(36)))
 			default:
-				deadline, max := instant(rng), rng.Intn(4)
-				got, gotEx := c.RunBudget(deadline, max)
-				want, wantEx := ref.runBudget(deadline, max)
-				if got != want || gotEx != wantEx {
-					t.Fatalf("seed %d op %d: RunBudget = (%d, %v), want (%d, %v)", seed, op, got, gotEx, want, wantEx)
-				}
+				p.runBudget(refInstant(rng.Intn(36)), rng.Intn(4))
 			}
-			if len(ids) != ref.labels {
-				t.Fatalf("seed %d op %d: %d events scheduled, reference %d", seed, op, len(ids), ref.labels)
-			}
-			if !slices.Equal(fired, ref.fired) {
-				t.Fatalf("seed %d op %d: fired %v, want %v", seed, op, fired, ref.fired)
-			}
-			if !c.Now().Equal(ref.now) {
-				t.Fatalf("seed %d op %d: Now = %v, want %v", seed, op, c.Now(), ref.now)
-			}
-			if c.Pending() != len(ref.pending) {
-				t.Fatalf("seed %d op %d: Pending = %d, want %d", seed, op, c.Pending(), len(ref.pending))
-			}
-			at, ok := c.NextAt()
-			if i := ref.next(); ok != (i >= 0) || ok && !at.Equal(ref.pending[i].at) {
-				t.Fatalf("seed %d op %d: NextAt = %v, %v; reference disagrees", seed, op, at, ok)
-			}
+			p.check()
 		}
 	}
+}
+
+// FuzzClockMatchesReference decodes its input, three bytes an
+// operation, into bursts of 1–50 schedules at a few instants, cancels
+// of any event or of a pending run's head, middle or tail, Step,
+// RunUntil, RunBudget and Reset. It runs them on the zero Clock and
+// on the oracle and requires the same fired order, Now, Pending and
+// NextAt after every operation.
+func FuzzClockMatchesReference(f *testing.F) {
+	const (
+		opBurst = iota
+		opCancel
+		opCancelPending
+		opStep
+		opRunUntil
+		opRunBudget
+		opReset
+		numOps
+	)
+	// Seeds: a run of five with its head, a middle and its tail
+	// cancelled; runs at two instants interleaved with a step that
+	// hands a head's entry to its successor; a budgeted run stopping
+	// inside a run; a Reset between runs.
+	f.Add([]byte{
+		opBurst, 1, 4, opCancelPending, 0, 0, opCancelPending, 1, 0, opCancelPending, 2, 0,
+		opStep, 0, 0, opRunUntil, 35, 0,
+	})
+	f.Add([]byte{
+		opBurst, 7, 9, opBurst, 2, 0, opBurst, 7, 3, opStep, 0, 0, opBurst, 7, 2,
+		opCancel, 1, 0, opCancelPending, 5, 0, opRunBudget, 7, 6, opRunUntil, 28, 0,
+	})
+	f.Add([]byte{
+		opBurst, 4, 49, opRunBudget, 31, 3, opBurst, 4, 0, opBurst, 4, 5,
+		opReset, 2, 0, opBurst, 2, 1, opCancel, 60, 0, opStep, 0, 0, opStep, 0, 0,
+	})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 3*64 {
+			ops = ops[:3*64]
+		}
+		i := 0
+		p := newClockPair(t, func() string { return fmt.Sprintf("op %d (%v)", i/3, ops[i:i+3]) })
+		for ; i+3 <= len(ops); i += 3 {
+			x, y := int(ops[i+1]), int(ops[i+2])
+			switch ops[i] % numOps {
+			case opBurst:
+				p.burst(refInstant(x), 1+y%50)
+			case opCancel:
+				p.cancel(x)
+			case opCancelPending:
+				p.cancelPending(x)
+			case opStep:
+				p.step()
+			case opRunUntil:
+				p.runUntil(refInstant(x))
+			case opRunBudget:
+				p.runBudget(refInstant(x), y%4)
+			case opReset:
+				p.reset(refInstant(x))
+			}
+			p.check()
+		}
+	})
 }
 
 // countHandler is a pointer handler that sums its arguments.

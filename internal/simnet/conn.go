@@ -18,50 +18,67 @@ const (
 // Conn is one side of an established (or establishing) TCP-like
 // connection. All methods must be called from the event loop.
 type Conn struct {
-	net     *Network
 	host    *Host
 	local   Addr
 	remote  Addr
 	handler ConnHandler
 	peer    *Conn
 	state   connState
-	id      uint64
+	// fIn marks the accepting side: segments it sends travel "in",
+	// the dialer's "out", in the fault plan's coordinates.
+	fIn bool
+	id  uint64
 
 	// Stats observed by this side.
 	bytesIn  int
 	bytesOut int
 	opened   time.Time
 
-	// Injected-fault schedule, decided once at dial time and shared
-	// (by value) with the accepting side. fSrc/fDst/fSeq are the
-	// dialer-relative fault-plan coordinates (fSeq stays 0, a pair's
-	// first number, on a conn dialed with no plan); fDir is "out" on the
-	// dialing side and "in" on the accepting side; fSeg counts data
-	// segments this side has attempted to send. fSrc and fDst are
-	// rendered by faultCoords on first use, so a clean network never
-	// formats them.
-	faults faultinject.ConnFaults
-	fSrc   string
-	fDst   string
-	fSeq   uint64
-	fDir   string
-	fSeg   int
+	// f is the injected-fault schedule and its coordinates, nil until
+	// a fault plan needs them. fSeq is the dialer-relative connection
+	// number (it stays 0, a pair's first number, on a conn dialed with
+	// no plan); fSeg counts data segments this side has attempted to
+	// send.
+	f    *connFaults
+	fSeq uint64
+	fSeg int
+}
+
+// connFaults is what a fault plan decided for one connection, shared
+// by both sides when it is decided at dial time: its schedule and the
+// dialer-relative endpoint coordinates the plan hashes.
+type connFaults struct {
+	plan     faultinject.ConnFaults
+	src, dst string
+}
+
+// noFaults is the schedule of a conn dialed with no plan: ConnPlan's
+// answer for a nil plan.
+var noFaults = (*faultinject.Plan)(nil).ConnPlan("", "", 0)
+
+// faults returns c's fault schedule; a conn without one carries none.
+func (c *Conn) faults() faultinject.ConnFaults {
+	if c.f == nil {
+		return noFaults
+	}
+	return c.f.plan
 }
 
 // faultCoords returns the dialer-relative endpoint coordinates the
-// fault plan hashes: the dialing host's IP and the dialed ip:port.
-// They are rendered once, on first use, from this side's own
-// addresses, so both halves of a connection agree on them and a conn
-// dialed before InstallFaults still draws the plan's decisions.
+// fault plan hashes: the dialing host's IP and the dialed ip:port. A
+// conn dialed under a plan has them from dial time; any other conn
+// renders them on first use from its own addresses, so both halves
+// of a connection agree on them and a conn dialed before
+// InstallFaults still draws the plan's decisions.
 func (c *Conn) faultCoords() (src, dst string) {
-	if c.fSrc == "" {
+	if c.f == nil {
 		dialer, dialed := c.local, c.remote
-		if c.fDir == "in" {
+		if c.fIn {
 			dialer, dialed = c.remote, c.local
 		}
-		c.fSrc, c.fDst = dialer.IP.String(), dialed.String()
+		c.f = &connFaults{plan: noFaults, src: dialer.IP.String(), dst: dialed.String()}
 	}
-	return c.fSrc, c.fDst
+	return c.f.src, c.f.dst
 }
 
 // LocalAddr returns this side's address.
@@ -91,22 +108,21 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 	n := h.net
 	n.nextID++
 	c := &Conn{
-		net: n, host: h,
+		host:    h,
 		local:   Addr{IP: h.IP, Port: h.ephemeralPort()},
 		remote:  to,
 		handler: handler,
 		state:   stateConnecting,
 		id:      n.nextID,
-		fDir:    "out",
 	}
 	// Only a fault plan reads the pair counters, so a clean network
-	// keeps none.
-	var fSrc, fDst string
+	// keeps none, and a clean conn no fault schedule.
 	if n.faults != nil {
 		c.fSeq = n.nextConnSeq(h.IP, to)
-		fSrc, fDst = c.faultCoords()
+		src, dst := c.faultCoords()
+		c.f.plan = n.faults.ConnPlan(src, dst, c.fSeq)
 	}
-	c.faults = n.faults.ConnPlan(fSrc, fDst, c.fSeq)
+	faults := c.faults()
 	n.m.connsDialed.Inc()
 	now := n.Clock.Now()
 	syn := PacketRecord{
@@ -116,20 +132,23 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 	if h.Egress != nil && !h.Egress(to, ProtoTCP) {
 		// Containment drop: the SYN is recorded at the host tap
 		// but never leaves, so the dialer sees a plain timeout.
-		n.recordLocal(syn)
+		h.tap(syn, true)
 		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
-	n.record(syn)
-
+	// The dialed host, looked up once: it receives the SYN, and its
+	// state decides the dial.
 	dst := n.hosts[to.IP]
-	if c.faults.ExtraLatency > 0 {
+	n.record(h, dst, syn)
+
+	// Every fault below needs a plan, so c.f is set when one fires.
+	if faults.ExtraLatency > 0 {
 		n.m.latencySpikes.Inc()
-		n.faultEvent("fault.latency_spike", fSrc, fDst)
+		n.faultEvent("fault.latency_spike", c.f.src, c.f.dst)
 	}
-	if c.faults.DripChunk > 0 {
+	if faults.DripChunk > 0 {
 		n.m.slowDrips.Inc()
-		n.faultEvent("fault.slow_drip", fSrc, fDst)
+		n.faultEvent("fault.slow_drip", c.f.src, c.f.dst)
 	}
 	if dst == nil || !dst.Online {
 		c.after(n.cfg.SYNTimeout, connTimeout)
@@ -139,23 +158,23 @@ func (h *Host) DialTCP(to Addr, handler ConnHandler) *Conn {
 		// Injected blackout: the host is up but unreachable for the
 		// moment — indistinguishable from offline to the dialer.
 		n.m.blackouts.Inc()
-		n.faultEvent("fault.blackout", fSrc, fDst)
+		n.faultEvent("fault.blackout", c.f.src, c.f.dst)
 		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
-	if c.faults.DropSYN {
+	if faults.DropSYN {
 		// Injected handshake loss: the SYN left the host tap but
 		// the network ate it.
 		n.m.synsDropped.Inc()
-		n.faultEvent("fault.syn_drop", fSrc, fDst)
+		n.faultEvent("fault.syn_drop", c.f.src, c.f.dst)
 		c.after(n.cfg.SYNTimeout, connTimeout)
 		return c
 	}
-	rtt := 2 * (n.Latency(h.IP, to.IP) + c.faults.ExtraLatency)
+	rtt := 2 * (n.Latency(h.IP, to.IP) + faults.ExtraLatency)
 	acceptor, listening := dst.tcpListeners[to.Port]
 	if !listening {
 		// RST comes back after one round trip.
-		n.record(PacketRecord{
+		n.record(dst, h, PacketRecord{
 			Time: now.Add(n.Latency(h.IP, to.IP)), Src: to, Dst: c.local,
 			Proto: ProtoTCP, Flags: FlagRST | FlagACK, Size: tcpHeaderBytes, Count: 1,
 		})
@@ -182,13 +201,13 @@ func (c *Conn) handshake(dst *Host, acceptor TCPAcceptor) {
 		c.fail(ErrRefused)
 		return
 	}
-	n := c.net
-	n.record(PacketRecord{
+	n := dst.net
+	n.record(dst, c.host, PacketRecord{
 		Time: n.Clock.Now(), Src: c.remote, Dst: c.local, Proto: ProtoTCP,
 		Flags: FlagSYN | FlagACK, Size: tcpHeaderBytes, Count: 1,
 	})
 	server := &Conn{
-		net: n, host: dst,
+		host:  dst,
 		local: c.remote, remote: c.local,
 		handler: serverHandler,
 		state:   stateEstablished,
@@ -197,8 +216,8 @@ func (c *Conn) handshake(dst *Host, acceptor TCPAcceptor) {
 		// The accepting side shares the dialer's fault schedule
 		// (same coordinates, opposite direction) so both halves
 		// of a connection agree on its fate.
-		faults: c.faults,
-		fSeq:   c.fSeq, fDir: "in",
+		f:    c.f,
+		fSeq: c.fSeq, fIn: true,
 	}
 	n.m.connsEstablished.Inc()
 	c.peer = server
@@ -223,7 +242,7 @@ type connEvents Conn
 
 // after schedules the conn timer kind d from now.
 func (c *Conn) after(d time.Duration, kind uint64) {
-	c.net.Clock.AfterCall(d, (*connEvents)(c), kind)
+	c.host.net.Clock.AfterCall(d, (*connEvents)(c), kind)
 }
 
 // Fire runs one conn timer. It fires even on a conn that has since
@@ -265,12 +284,16 @@ func (c *Conn) peerClosed(err error) {
 // dropSegment asks the installed fault plan, if any, whether this
 // side's seg-th data segment is lost in flight.
 func (c *Conn) dropSegment(seg int) bool {
-	p := c.net.faults
+	p := c.host.net.faults
 	if p == nil {
 		return false
 	}
+	dir := "out"
+	if c.fIn {
+		dir = "in"
+	}
 	src, dst := c.faultCoords()
-	return p.DropSegment(src, dst, c.fSeq, c.fDir, seg)
+	return p.DropSegment(src, dst, c.fSeq, dir, seg)
 }
 
 // fail closes a connecting or established conn with err.
@@ -292,50 +315,50 @@ func (c *Conn) Write(payload []byte) error {
 	if c.state != stateEstablished {
 		return ErrClosed
 	}
+	n := c.host.net
+	faults := c.faults()
 	seg := c.fSeg
 	c.fSeg++
-	if c.faults.ResetAfterSegment >= 0 && seg >= c.faults.ResetAfterSegment {
-		c.net.m.resetsInjected.Inc()
-		src, dst := c.faultCoords()
-		c.net.faultEvent("fault.reset", src, dst)
+	if faults.ResetAfterSegment >= 0 && seg >= faults.ResetAfterSegment {
+		n.m.resetsInjected.Inc()
+		n.faultEvent("fault.reset", c.f.src, c.f.dst)
 		c.injectReset()
 		return ErrReset
 	}
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	c.bytesOut += len(buf)
-	c.net.m.tcpBytes.Add(int64(len(buf)))
-	n := c.net
+	n.m.tcpBytes.Add(int64(len(buf)))
 	rec := PacketRecord{
 		Time: n.Clock.Now(), Src: c.local, Dst: c.remote, Proto: ProtoTCP,
 		Flags: FlagPSH | FlagACK, Payload: buf, Size: len(buf) + tcpHeaderBytes, Count: 1,
 	}
 	if c.host.Egress != nil && !c.host.Egress(c.remote, ProtoTCP) {
 		// Perimeter drop mid-connection: recorded, not delivered.
-		n.recordLocal(rec)
+		c.host.tap(rec, true)
 		return nil
 	}
 	if c.dropSegment(seg) {
 		// Injected segment loss: the sender's tap sees the packet
 		// leave, the peer never does.
 		n.m.segmentsDropped.Inc()
-		n.faultEvent("fault.segment_drop", c.fSrc, c.fDst)
-		n.recordLocal(rec)
+		n.faultEvent("fault.segment_drop", c.f.src, c.f.dst)
+		c.host.tap(rec, true)
 		return nil
 	}
-	n.record(rec)
-	arrive := n.Clock.Now().Add(n.Latency(c.local.IP, c.remote.IP) + c.faults.ExtraLatency)
-	if c.faults.DripChunk > 0 && len(buf) > c.faults.DripChunk {
+	n.record(c.host, c.peer.host, rec)
+	arrive := n.Clock.Now().Add(n.Latency(c.local.IP, c.remote.IP) + faults.ExtraLatency)
+	if faults.DripChunk > 0 && len(buf) > faults.DripChunk {
 		// Slow drip: the peer receives the payload in chunks spaced
 		// DripDelay apart — one write, several OnData calls, message
 		// boundaries gone, exactly what incremental parsers must
 		// survive on real sockets.
-		for i, off := 0, 0; off < len(buf); i, off = i+1, off+c.faults.DripChunk {
-			end := off + c.faults.DripChunk
+		for i, off := 0, 0; off < len(buf); i, off = i+1, off+faults.DripChunk {
+			end := off + faults.DripChunk
 			if end > len(buf) {
 				end = len(buf)
 			}
-			n.fly(arrive.Add(time.Duration(i)*c.faults.DripDelay), flightData,
+			n.fly(arrive.Add(time.Duration(i)*faults.DripDelay), flightData,
 				flight{conn: c.peer, rec: PacketRecord{Payload: buf[off:end]}})
 		}
 		return nil
@@ -364,9 +387,9 @@ func (c *Conn) injectReset() {
 	if c.state == stateClosed {
 		return
 	}
-	n := c.net
+	n := c.host.net
 	c.state = stateClosed
-	n.record(PacketRecord{
+	n.record(c.host, c.peer.host, PacketRecord{
 		Time: n.Clock.Now(), Src: c.local, Dst: c.remote, Proto: ProtoTCP,
 		Flags: FlagRST | FlagACK, Size: tcpHeaderBytes, Count: 1,
 	})
@@ -383,8 +406,8 @@ func (c *Conn) shutdown(peerKind uint64, flags TCPFlags) {
 	wasEstablished := c.state == stateEstablished
 	c.state = stateClosed
 	if wasEstablished {
-		n := c.net
-		n.record(PacketRecord{
+		n := c.host.net
+		n.record(c.host, c.peer.host, PacketRecord{
 			Time: n.Clock.Now(), Src: c.local, Dst: c.remote, Proto: ProtoTCP,
 			Flags: flags, Size: tcpHeaderBytes, Count: 1,
 		})

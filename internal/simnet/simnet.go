@@ -732,21 +732,12 @@ func (h *Host) tap(rec PacketRecord, outbound bool) {
 	}
 }
 
-// recordLocal taps a record at the sender only — the path for
-// egress-contained traffic that never leaves the perimeter.
-func (n *Network) recordLocal(rec PacketRecord) {
-	if src := n.hosts[rec.Src.IP]; src != nil {
-		src.tap(rec, true)
-	}
-}
-
-// record taps a record at the sender and, if the destination host
-// exists and is online, at the receiver (after latency).
-func (n *Network) record(rec PacketRecord) {
-	if src := n.hosts[rec.Src.IP]; src != nil {
-		src.tap(rec, true)
-	}
-	dst := n.hosts[rec.Dst.IP]
+// record taps a record at its sender, src, and, if the destination
+// host dst (nil when none is registered at rec.Dst) is online, at the
+// receiver after latency. Egress-contained traffic, which never leaves
+// the perimeter, is tapped at the sender alone with src.tap.
+func (n *Network) record(src, dst *Host, rec PacketRecord) {
+	src.tap(rec, true)
 	if dst == nil || !dst.Online {
 		return
 	}
@@ -791,11 +782,11 @@ func (h *Host) sendUDPBurst(srcPort uint16, to Addr, payload []byte, count int, 
 		Payload: payload, Size: len(payload) + udpHeaderBytes, Count: count,
 	}
 	if h.Egress != nil && !h.Egress(to, ProtoUDP) {
-		h.net.recordLocal(rec)
+		h.tap(rec, true)
 		return
 	}
-	h.net.record(rec)
 	dst := h.net.hosts[to.IP]
+	h.net.record(h, dst, rec)
 	if dst == nil || !dst.Online {
 		return
 	}
@@ -826,10 +817,10 @@ func (h *Host) SendTCPRaw(srcPort uint16, to Addr, flags TCPFlags, payloadLen, c
 		Flags: flags, Size: payloadLen + tcpHeaderBytes, Count: count,
 	}
 	if h.Egress != nil && !h.Egress(to, ProtoTCP) {
-		h.net.recordLocal(rec)
+		h.tap(rec, true)
 		return
 	}
-	h.net.record(rec)
+	h.net.record(h, h.net.hosts[to.IP], rec)
 }
 
 // SendICMP emits ICMP packets of the given type/code (BLACKNURSE is
@@ -844,8 +835,8 @@ func (h *Host) SendICMP(to netip.Addr, typ, code uint8, count int, span time.Dur
 		ICMPTyp: typ, ICMPCod: code, Size: icmpHeaderBytes + 28, Count: count,
 	}
 	if h.Egress != nil && !h.Egress(Addr{IP: to}, ProtoICMP) {
-		h.net.recordLocal(rec)
+		h.tap(rec, true)
 		return
 	}
-	h.net.record(rec)
+	h.net.record(h, h.net.hosts[to], rec)
 }
